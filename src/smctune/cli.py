@@ -95,7 +95,7 @@ def _tuning_config(args):
 def cmd_tune(args) -> int:
     _, modal, plant = _load_setup(args)
     config = _tuning_config(args)
-    result = tune(plant, modal, config, workers=args.workers)
+    result = tune(plant, modal, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result.to_json(out / "result.json")
@@ -154,7 +154,7 @@ def cmd_lqr(args) -> int:
 def cmd_freq(args) -> int:
     _, modal, plant = _load_setup(args)
     config = _tuning_config(args)
-    result = tune(plant, modal, config, workers=args.workers)
+    result = tune(plant, modal, config)
     if not result.feasible:
         print(result.message, file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -184,9 +184,8 @@ def _window_from_args(args):
     return (a, b)
 
 
-def _smc_controller(plant, modal, config, index, workers):
-    result = tune(plant, modal, load_tuning_config({**config.to_dict(), "index": index}),
-                  workers=workers)
+def _smc_controller(plant, modal, config, index):
+    result = tune(plant, modal, load_tuning_config({**config.to_dict(), "index": index}))
     if not result.feasible:
         raise InfeasibleTuningError(result.message)
     return SmcControl(result.design, label=f"smc-{index}"), result
@@ -204,8 +203,7 @@ def cmd_simulate(args) -> int:
         if args.tuning is None:
             raise ConfigError("--tuning is required for the smc controller")
         config = _tuning_config(args)
-        controller, _ = _smc_controller(plant, modal, config, config.index,
-                                        args.workers)
+        controller, _ = _smc_controller(plant, modal, config, config.index)
     else:
         if args.maxima is None:
             raise ConfigError("--maxima is required for the lqr controller")
@@ -236,7 +234,7 @@ def cmd_compare(args) -> int:
 
     controllers = [PassiveControl()]
     for index in ("jz2", "ju"):
-        controller, _ = _smc_controller(plant, modal, config, index, args.workers)
+        controller, _ = _smc_controller(plant, modal, config, index)
         controllers.append(controller)
     if args.maxima is not None:
         lqr_result = solve_lqr(plant, bryson_weights(_load_maxima(_resolve(args.maxima))))
@@ -306,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--tuning", required=True, help="tuning JSON")
     p_tune.add_argument("--index", choices=("jz2", "ju"), default=None,
                         help="override the performance index")
-    p_tune.add_argument("--workers", type=int, default=1)
     p_tune.set_defaults(func=cmd_tune)
 
     p_lqr = sub.add_parser("lqr", help="LQR baseline gain")
@@ -318,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_freq)
     p_freq.add_argument("--tuning", required=True)
     p_freq.add_argument("--index", choices=("jz2", "ju"), default=None)
-    p_freq.add_argument("--workers", type=int, default=1)
     p_freq.set_defaults(func=cmd_freq)
 
     def add_sim_args(p):
@@ -330,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="multiply the record by this factor")
         p.add_argument("--t-end", type=float, default=None, dest="t_end")
         p.add_argument("--window", default=None, help="summary window 'a,b' in seconds")
-        p.add_argument("--workers", type=int, default=1)
 
     p_sim = sub.add_parser("simulate", help="closed-loop time-domain run")
     add_common(p_sim)

@@ -14,17 +14,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InfeasibleDesignError
-from .smc import SlidingDesign
+from .smc import DesignBatch, SlidingDesign, rowdot, sliding_polynomial
 
 __all__ = [
     "DEFAULT_BAND",
     "DEFAULT_SAMPLES",
     "RationalTf",
     "TransferFunctions",
+    "TransferBatch",
     "BandMetrics",
+    "zero_rows",
     "transfer_zeros",
+    "transfer_batch",
     "build_transfer_functions",
     "frequency_grid",
+    "band_table",
     "band_rms",
     "band_peak",
     "band_metrics",
@@ -35,6 +39,9 @@ __all__ = [
 DEFAULT_BAND = (2.0 * np.pi, 40.0 * np.pi)
 #: frequency samples used for band metrics
 DEFAULT_SAMPLES = 2000
+#: bytes of one (rows, n_samples) float64 temporary of ``band_table``; it sets
+#: how many designs are evaluated per block (4 at DEFAULT_SAMPLES)
+BAND_BLOCK_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -86,58 +93,90 @@ class BandMetrics:
     n_samples: int
 
 
+def zero_rows(eta: np.ndarray):
+    """psi1 = -eta2/eta4 and psi2 = -eta1/eta3 for a stack of sliding vectors.
+
+    Returns (psi1, psi2, defined). A vanishing eta3 or eta4 leaves the
+    corresponding zero undefined; ``defined`` is False on those rows and
+    their psi values are meaningless.
+    """
+    tiny = 1e-12 * np.maximum(1.0, np.sqrt(rowdot(eta, eta)))
+    defined = (np.abs(eta[:, 3]) > tiny) & (np.abs(eta[:, 2]) > tiny)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -eta[:, 1] / eta[:, 3], -eta[:, 0] / eta[:, 2], defined
+
+
 def transfer_zeros(eta) -> tuple[float, float]:
     """Zeros psi1 = -eta2/eta4 and psi2 = -eta1/eta3 of the reduced responses.
 
     A vanishing eta3 or eta4 leaves the corresponding zero undefined and the
     candidate design is reported as infeasible.
     """
-    eta = np.asarray(eta, dtype=float)
-    tiny = 1e-12 * max(1.0, float(np.linalg.norm(eta)))
-    if abs(eta[3]) <= tiny or abs(eta[2]) <= tiny:
+    psi1, psi2, defined = zero_rows(np.asarray(eta, dtype=float)[None])
+    if not defined[0]:
         raise InfeasibleDesignError(
             "sliding vector has a vanishing third or fourth component; "
             "transfer-function zeros are undefined")
-    return float(-eta[1] / eta[3]), float(-eta[0] / eta[2])
+    return float(psi1[0]), float(psi2[0])
 
 
-def _resolvent_numerator(A: np.ndarray, c_row: np.ndarray, b_col: np.ndarray,
-                         den: np.ndarray) -> np.ndarray:
-    """Coefficients of c_row adj(sI - A) b_col for a 3x3 A (Faddeev-LeVerrier).
+@dataclass(frozen=True)
+class TransferBatch:
+    """G1, G2, G3, Gu for a stack of designs, row i for design i.
 
-    adj(sI - A) = I s^2 + M2 s + M3 with M2 = A + c2 I and M3 = A M2 + c1 I,
-    where den = [1, c2, c1, c0] is the characteristic polynomial.
+    The four responses share the denominator ``den`` (the sliding
+    characteristic polynomial); ``nums[c]`` and ``gains[c]`` are those of
+    channel c in the order 1, 2, 3, u, as in RationalTf.
     """
-    eye = np.eye(3)
-    M2 = A + den[1] * eye
-    M3 = A @ M2 + den[2] * eye
-    return np.array([c_row @ b_col, c_row @ M2 @ b_col, c_row @ M3 @ b_col])
+
+    den: np.ndarray                      # (m, 4)
+    nums: tuple[np.ndarray, ...]         # (m, 2), (m, 2), (m, 3), (m, 4)
+    gains: tuple[np.ndarray, ...]        # four (m,) arrays
+    psi1: np.ndarray                     # (m,)
+    psi2: np.ndarray                     # (m,)
+
+    def functions(self, i: int) -> TransferFunctions:
+        g1, g2, g3, gu = (RationalTf(num=num[i].copy(), den=self.den[i].copy(),
+                                     gain=float(gain[i]))
+                          for num, gain in zip(self.nums, self.gains))
+        return TransferFunctions(g1=g1, g2=g2, g3=g3, gu=gu,
+                                 psi1=float(self.psi1[i]), psi2=float(self.psi2[i]))
 
 
-def build_transfer_functions(design: SlidingDesign) -> TransferFunctions:
-    """Realize G1, G2, G3, Gu as rational functions of s.
+def transfer_batch(designs: DesignBatch) -> TransferBatch:
+    """Realize G1, G2, G3, Gu of every design as rational functions of s.
 
     All four share the sliding characteristic polynomial
     (s - lambda3)(s^2 + 2 zeta omega_n s + omega_n^2) as denominator. The
     displacement/velocity responses come in closed form from alpha2 and the
     zeros psi1/psi2; the force response nu1 (sI - A1)^{-1} B1 + alpha1 is
-    expanded through the adjugate of (sI - A1).
+    expanded through the adjugate of (sI - A1) (Faddeev-LeVerrier):
+    adj(sI - A1) = I s^2 + M2 s + M3 with M2 = A1 + c2 I and M3 = A1 M2 + c1 I
+    for den = [1, c2, c1, c0]. Rows whose zeros are undefined must be
+    screened out first (``zero_rows``).
     """
-    psi1, psi2 = transfer_zeros(design.eta)
-    p = design.poles
-    den = np.polymul([1.0, -p.lambda3],
-                     [1.0, 2.0 * p.zeta * p.omega_n, p.omega_n ** 2]).astype(float)
+    eta, a2 = designs.eta, designs.alpha2
+    den = sliding_polynomial(designs.zeta, designs.omega_n, designs.lambda3)
+    psi1, psi2, _ = zero_rows(eta)
+    ones, zeros = np.ones_like(psi1), np.zeros_like(psi1)
 
-    a2 = design.alpha2
-    eta = design.eta
-    g1 = RationalTf(num=np.array([1.0, -psi1]), den=den, gain=a2)
-    g2 = RationalTf(num=np.array([1.0, -psi2]), den=den, gain=-a2 * eta[2] / eta[3])
-    g3 = RationalTf(num=np.array([1.0, -psi1, 0.0]), den=den, gain=a2)
+    A1, B1, nu1 = designs.A1, designs.B1, designs.nu1
+    m2_b1 = rowdot(A1, B1[:, None, :]) + den[:, 1:2] * B1
+    m3_b1 = rowdot(A1, m2_b1[:, None, :]) + den[:, 2:3] * B1
+    num_u = np.stack([zeros, rowdot(nu1, B1), rowdot(nu1, m2_b1), rowdot(nu1, m3_b1)],
+                     axis=-1)
+    nums = (np.stack([ones, -psi1], axis=-1),
+            np.stack([ones, -psi2], axis=-1),
+            np.stack([ones, -psi1, zeros], axis=-1),
+            designs.alpha1[:, None] * den + num_u)
+    gains = (a2, -a2 * eta[:, 2] / eta[:, 3], a2, ones)
+    return TransferBatch(den=den, nums=nums, gains=gains, psi1=psi1, psi2=psi2)
 
-    num_u = _resolvent_numerator(design.A1, design.nu1, design.B1, den)
-    gu = RationalTf(num=design.alpha1 * den + np.concatenate(([0.0], num_u)),
-                    den=den, gain=1.0)
-    return TransferFunctions(g1=g1, g2=g2, g3=g3, gu=gu, psi1=psi1, psi2=psi2)
+
+def build_transfer_functions(design: SlidingDesign) -> TransferFunctions:
+    """G1, G2, G3, Gu of one design: ``transfer_batch`` with a stack of one."""
+    transfer_zeros(design.eta)      # InfeasibleDesignError when a zero is undefined
+    return transfer_batch(DesignBatch.of(design)).functions(0)
 
 
 def frequency_grid(band=DEFAULT_BAND, n_samples: int = DEFAULT_SAMPLES) -> np.ndarray:
@@ -150,6 +189,80 @@ def frequency_grid(band=DEFAULT_BAND, n_samples: int = DEFAULT_SAMPLES) -> np.nd
     return np.linspace(lo, hi, int(n_samples))
 
 
+def _horner(ascending: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k ascending[:, k] x^k for every row; (m, 1) for a constant."""
+    acc = ascending[:, -1:]
+    for k in range(ascending.shape[1] - 2, -1, -1):
+        acc = acc * x + ascending[:, k:k + 1]
+    return acc
+
+
+def _squared_magnitude(coeffs: np.ndarray, x: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """|p(j omega)|^2 for each row of descending coefficients, in real arithmetic.
+
+    With x = -omega^2, p(j omega) = E(x) + j omega O(x), where E and O collect
+    the even and the odd powers of p, so |p|^2 = E^2 + (omega O)^2.
+    """
+    ascending = coeffs[:, ::-1]
+    even = _horner(ascending[:, 0::2], x)
+    if ascending.shape[1] == 1:
+        return even * even * np.ones_like(x)
+    odd = omega * _horner(ascending[:, 1::2], x)
+    return even * even + odd * odd
+
+
+def _band_squares(den, nums, gains, delta: float, omega: np.ndarray) -> list[np.ndarray]:
+    """|delta H_c(j omega)|^2 of every channel c on one grid, (m, len(omega)) each.
+
+    |den|^2 is evaluated once for all channels. Every step is elementwise, so
+    a row's values do not depend on the other rows evaluated with it.
+    """
+    if delta <= 0:
+        raise ConfigError(f"delta must be positive, got {delta}")
+    x = -(omega * omega)
+    den_sq = _squared_magnitude(den, x, omega)
+    return [np.square(delta * gain)[:, None] * _squared_magnitude(num, x, omega) / den_sq
+            for num, gain in zip(nums, gains)]
+
+
+def _trapezoid_rms(squares: np.ndarray) -> np.ndarray:
+    """Square root of the trapezoid band mean of each row (see band_rms)."""
+    interior_weighted = squares.sum(axis=-1) - 0.5 * (squares[:, 0] + squares[:, -1])
+    return np.sqrt(interior_weighted / (squares.shape[-1] - 1))
+
+
+def band_table(batch: TransferBatch, delta: float, band=DEFAULT_BAND,
+               n_samples: int = DEFAULT_SAMPLES) -> tuple[np.ndarray, np.ndarray]:
+    """kappa (m, 4) of the channels 1, 2, 3, u and the force peak chi (m,).
+
+    All rows share one ``frequency_grid``. They are evaluated in blocks whose
+    (rows, n_samples) temporaries fit BAND_BLOCK_BYTES, so memory stays
+    bounded however many designs the stack holds; chi comes from the same
+    |H_u| values as kappa_u.
+    """
+    omega = frequency_grid(band, n_samples)
+    rows = len(batch.den)
+    block = max(1, BAND_BLOCK_BYTES // (omega.itemsize * omega.size))
+    kappa, chi = np.empty((rows, 4)), np.empty(rows)
+    for start in range(0, rows, block):
+        part = slice(start, start + block)
+        squares = _band_squares(batch.den[part], [num[part] for num in batch.nums],
+                                [gain[part] for gain in batch.gains], delta, omega)
+        for channel, sq in enumerate(squares):
+            kappa[part, channel] = _trapezoid_rms(sq)
+        chi[part] = np.sqrt(squares[3].max(axis=-1))
+    return kappa, chi
+
+
+def _one_channel(tf: RationalTf, delta: float, band, n_samples: int) -> np.ndarray:
+    """|delta tf(j omega)|^2 on the band grid, as a stack of one row."""
+    (squares,) = _band_squares(np.asarray(tf.den, dtype=float)[None],
+                               [np.asarray(tf.num, dtype=float)[None]],
+                               [np.array([tf.gain], dtype=float)], delta,
+                               frequency_grid(band, n_samples))
+    return squares
+
+
 def band_rms(tf: RationalTf, delta: float, band=DEFAULT_BAND,
              n_samples: int = DEFAULT_SAMPLES) -> float:
     """Band RMS kappa = sqrt(mean over the band of |delta * tf(j omega)|^2).
@@ -160,33 +273,33 @@ def band_rms(tf: RationalTf, delta: float, band=DEFAULT_BAND,
     1/(n-1), the two endpoints 1/(2(n-1)). Equal weights on the inclusive
     grid would give each endpoint 1/n instead, an O(1/n) bias that matters
     here because every response peaks at the lower band edge; the trapezoid
-    estimate converges as O(1/n^2). ``n_samples`` sets the resolution.
+    estimate converges as O(1/n^2). ``n_samples`` sets the resolution. This
+    is the kernel of ``band_table`` with a stack of one.
     """
-    if delta <= 0:
-        raise ConfigError(f"delta must be positive, got {delta}")
-    sq = (delta * tf.magnitude(frequency_grid(band, n_samples))) ** 2
-    mean_sq = (np.sum(sq) - 0.5 * (sq[0] + sq[-1])) / (sq.size - 1)
-    return float(np.sqrt(mean_sq))
+    return float(_trapezoid_rms(_one_channel(tf, delta, band, n_samples))[0])
 
 
 def band_peak(tf: RationalTf, delta: float, band=DEFAULT_BAND,
               n_samples: int = DEFAULT_SAMPLES) -> float:
     """Maximum of |delta * tf(j omega)| over the same grid band_rms uses."""
-    if delta <= 0:
-        raise ConfigError(f"delta must be positive, got {delta}")
-    mags = delta * tf.magnitude(frequency_grid(band, n_samples))
-    return float(np.max(mags))
+    return float(np.sqrt(_one_channel(tf, delta, band, n_samples).max(axis=-1))[0])
 
 
 def band_metrics(tfs: TransferFunctions, delta: float, band=DEFAULT_BAND,
                  n_samples: int = DEFAULT_SAMPLES) -> BandMetrics:
     """kappa_i for all four responses plus the force peak chi, one shared grid."""
+    channels = (tfs.g1, tfs.g2, tfs.g3, tfs.gu)
+    den = np.asarray(tfs.gu.den, dtype=float)
+    if any(not np.array_equal(tf.den, den) for tf in channels):
+        raise ConfigError("band_metrics needs four responses with one common denominator")
+    batch = TransferBatch(den=den[None],
+                          nums=tuple(np.asarray(tf.num, dtype=float)[None] for tf in channels),
+                          gains=tuple(np.array([tf.gain], dtype=float) for tf in channels),
+                          psi1=np.array([tfs.psi1]), psi2=np.array([tfs.psi2]))
+    (kappa,), (chi,) = band_table(batch, delta, band, n_samples)
     return BandMetrics(
-        kappa1=band_rms(tfs.g1, delta, band, n_samples),
-        kappa2=band_rms(tfs.g2, delta, band, n_samples),
-        kappa3=band_rms(tfs.g3, delta, band, n_samples),
-        kappa_u=band_rms(tfs.gu, delta, band, n_samples),
-        chi=band_peak(tfs.gu, delta, band, n_samples),
+        kappa1=float(kappa[0]), kappa2=float(kappa[1]), kappa3=float(kappa[2]),
+        kappa_u=float(kappa[3]), chi=float(chi),
         band=(float(band[0]), float(band[1])),
         n_samples=int(n_samples),
     )

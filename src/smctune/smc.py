@@ -1,14 +1,23 @@
 """Sliding-mode controller synthesis for the 4-state building + damper plant.
 
 The design places three of the four closed-loop poles through the sliding
-vector eta and the fourth through the full-state gain, both obtained from the
-last row of the inverse controllability matrix. On the plane sigma = eta.z = 0
-the plant collapses to a third-order system (A1, B1) driven by the ground
-acceleration.
+vector eta and the fourth through the full-state gain. By Ackermann's formula
+both are e.P(A), with e the last row of the inverse controllability matrix and
+P the desired characteristic polynomial. Written in powers of A, e.P(A) is
+linear in the coefficients of P, so a whole stack of pole layouts costs a few
+elementwise products against the plant-invariant rows e A^i. On the plane
+sigma = eta.z = 0 the plant collapses to a third-order system (A1, B1) driven
+by the ground acceleration.
+
+The synthesis works on stacks of designs, one row per pole layout, and the
+single-design functions are the same code with a stack of one. All arithmetic
+that produces a design is elementwise and sums in a fixed order (``rowdot``),
+never a BLAS product, so a row's numbers do not depend on the stack it was
+computed in and a design rebuilt on its own matches its scan row bit for bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -19,6 +28,11 @@ __all__ = [
     "PoleSpec",
     "ReducedDynamics",
     "SlidingDesign",
+    "DesignBatch",
+    "ackermann_rows",
+    "sliding_polynomial",
+    "sliding_vectors",
+    "design_batch",
     "ackermann_gain",
     "sliding_vector",
     "reduced_dynamics",
@@ -31,6 +45,23 @@ __all__ = [
 IMAG_TOL = 1e-9
 #: relative tolerance for verifying achieved pole locations
 POLE_PLACEMENT_TOL = 1e-6
+#: absolute tolerance of the identity eta.B = 1
+ETA_B_TOL = 1e-9
+#: relative tolerance of the block-triangular form of the transformed loop
+BLOCK_TOL = 1e-6
+#: lambda3 = -LAMBDA3_FACTOR * zeta * omega_n unless given
+LAMBDA3_FACTOR = 3.0
+
+#: why a row of a DesignBatch was rejected, indexed by DesignBatch.reject
+#: (0 means accepted); the checks run in this order
+REJECT_MESSAGES = (
+    None,
+    "eta.B deviates from 1 beyond tolerance",
+    "pole placement failed: the achieved spectrum misses the requested poles",
+    "transformation T is singular: last sliding weight is zero",
+    "eta, k_gain, and lambda4 are mutually inconsistent; "
+    "transformed dynamics are not block triangular",
+)
 
 
 @dataclass(frozen=True)
@@ -54,7 +85,7 @@ class PoleSpec:
         if self.omega_n <= 0.0:
             raise ConfigError(f"omega_n must be positive, got {self.omega_n}")
         if self.lambda3 is None:
-            object.__setattr__(self, "lambda3", -3.0 * self.zeta * self.omega_n)
+            object.__setattr__(self, "lambda3", -LAMBDA3_FACTOR * self.zeta * self.omega_n)
         if self.lambda4 is None:
             object.__setattr__(self, "lambda4", -10.0 * self.zeta * self.omega_n)
         if self.lambda3 >= 0.0 or self.lambda4 >= 0.0:
@@ -85,7 +116,6 @@ class ReducedDynamics:
 
     A1: np.ndarray      # 3x3, eigenvalues lambda1..lambda3
     B1: np.ndarray      # 3-vector excitation gain
-    T: np.ndarray       # 4x4 state transformation [z*; sigma] = T z
     alpha1: float       # excitation feedthrough onto sigma-dot
     alpha2: float       # excitation gain of the reduced third state
     nu1: np.ndarray     # 3-vector reconstructing u from z* in the sliding mode
@@ -102,7 +132,6 @@ class SlidingDesign:
     alpha2: float
     A1: np.ndarray
     B1: np.ndarray
-    T: np.ndarray
     nu1: np.ndarray
     epsilon: float = 0.05
     M0: float | None = None
@@ -136,31 +165,100 @@ class SlidingDesign:
         }
 
 
-def _inverse_ctrb_row(plant: PlantStateSpace) -> np.ndarray:
-    """Last row of the inverse controllability matrix."""
-    Co = controllability_matrix(plant.A, plant.B)
-    unit_last = np.zeros(len(plant.B))
-    unit_last[-1] = 1.0
-    try:
-        return np.linalg.solve(Co.T, unit_last)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("controllability matrix is singular") from exc
+@dataclass(frozen=True)
+class DesignBatch:
+    """Sliding designs for a stack of pole layouts, row i for layout i.
+
+    The fields are those of SlidingDesign with a leading row axis. ``reject``
+    is 0 for a row that passed every design check, otherwise the index of
+    the first failed check in REJECT_MESSAGES; rejected rows hold whatever the
+    arithmetic gave and must not be used.
+    """
+
+    zeta: np.ndarray        # (m,)
+    omega_n: np.ndarray     # (m,) rad/s
+    lambda3: np.ndarray     # (m,)
+    lambda4: np.ndarray     # (m,)
+    eta: np.ndarray         # (m, 4)
+    k_gain: np.ndarray      # (m, 4)
+    alpha1: np.ndarray      # (m,)
+    alpha2: np.ndarray      # (m,)
+    A1: np.ndarray          # (m, 3, 3)
+    B1: np.ndarray          # (m, 3)
+    nu1: np.ndarray         # (m, 3)
+    reject: np.ndarray      # (m,) int
+
+    @classmethod
+    def of(cls, design: SlidingDesign) -> "DesignBatch":
+        """A stack of one holding ``design``."""
+        p = design.poles
+        return cls(
+            zeta=np.array([p.zeta], dtype=float), omega_n=np.array([p.omega_n], dtype=float),
+            lambda3=np.array([p.lambda3], dtype=float),
+            lambda4=np.array([p.lambda4], dtype=float),
+            eta=np.asarray(design.eta, dtype=float)[None],
+            k_gain=np.asarray(design.k_gain, dtype=float)[None],
+            alpha1=np.array([design.alpha1], dtype=float),
+            alpha2=np.array([design.alpha2], dtype=float),
+            A1=np.asarray(design.A1, dtype=float)[None],
+            B1=np.asarray(design.B1, dtype=float)[None],
+            nu1=np.asarray(design.nu1, dtype=float)[None],
+            reject=np.zeros(1, dtype=int))
+
+    def take(self, rows) -> "DesignBatch":
+        """The stack of the selected rows (index array or boolean mask)."""
+        return replace(self, **{f.name: getattr(self, f.name)[rows] for f in fields(self)})
+
+    def design(self, i: int, epsilon: float = 0.05) -> SlidingDesign:
+        """Row i as a SlidingDesign; NumericalError if the row was rejected."""
+        code = int(self.reject[i])
+        if code:
+            raise NumericalError(REJECT_MESSAGES[code])
+        poles = PoleSpec(zeta=float(self.zeta[i]), omega_n=float(self.omega_n[i]),
+                         lambda3=float(self.lambda3[i]), lambda4=float(self.lambda4[i]))
+        return SlidingDesign(
+            poles=poles, eta=self.eta[i].copy(), k_gain=self.k_gain[i].copy(),
+            alpha1=float(self.alpha1[i]), alpha2=float(self.alpha2[i]),
+            A1=self.A1[i].copy(), B1=self.B1[i].copy(), nu1=self.nu1[i].copy(),
+            epsilon=epsilon)
 
 
-def _poly_of_matrix(A: np.ndarray, roots) -> np.ndarray:
-    """Evaluate prod_i (A - root_i I) keeping all arithmetic real.
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_i a[..., i] * b[..., i], added in index order.
+
+    Plain elementwise products and sums (broadcasting over the leading axes)
+    instead of a BLAS product, whose blocking can change the summation order
+    with the shape of the stack.
+    """
+    total = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        total = total + a[..., i] * b[..., i]
+    return total
+
+
+def _polymul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Product of polynomials in descending coefficients, row by row."""
+    n_p, n_q = p.shape[-1], q.shape[-1]
+    out = [None] * (n_p + n_q - 1)
+    for i in range(n_p):
+        for j in range(n_q):
+            term = p[..., i] * q[..., j]
+            out[i + j] = term if out[i + j] is None else out[i + j] + term
+    return np.stack(out, axis=-1)
+
+
+def _real_polynomial(roots) -> np.ndarray:
+    """Real descending coefficients of prod_i (s - root_i).
 
     Complex roots must come in conjugate pairs; each pair is folded into the
-    real quadratic A^2 - 2 Re(r) A + |r|^2 I.
+    real quadratic s^2 - 2 Re(r) s + |r|^2.
     """
-    A = np.asarray(A, dtype=float)
-    eye = np.eye(A.shape[0])
     remaining = [complex(r) for r in roots]
-    out = eye.copy()
+    poly = np.ones(1)
     while remaining:
         r = remaining.pop(0)
         if abs(r.imag) <= IMAG_TOL * max(1.0, abs(r)):
-            out = out @ (A - r.real * eye)
+            poly = _polymul(poly, np.array([1.0, -r.real]))
             continue
         conj = r.conjugate()
         for i, other in enumerate(remaining):
@@ -170,18 +268,136 @@ def _poly_of_matrix(A: np.ndarray, roots) -> np.ndarray:
         else:
             raise ConfigError(f"complex pole {r} has no conjugate partner; "
                               "pole set must be closed under conjugation")
-        out = out @ (A @ A - 2.0 * r.real * A + (abs(r) ** 2) * eye)
-    return out
+        poly = _polymul(poly, np.array([1.0, -2.0 * r.real, abs(r) ** 2]))
+    return poly
 
 
-def _check_pole_placement(A_closed: np.ndarray, poles) -> None:
-    achieved = np.sort_complex(np.linalg.eigvals(A_closed))
-    wanted = np.sort_complex(np.asarray([complex(p) for p in poles]))
-    err = np.linalg.norm(achieved - wanted) / max(1.0, np.linalg.norm(wanted))
-    if err > POLE_PLACEMENT_TOL:
-        raise NumericalError(
-            f"pole placement failed: requested {wanted}, achieved {achieved} "
-            f"(relative error {err:.3e})")
+def ackermann_rows(plant: PlantStateSpace) -> np.ndarray:
+    """Plant-invariant rows [e A^n; ...; e A; e], highest power first.
+
+    e is the last row of the inverse controllability matrix, so for a monic
+    polynomial with descending coefficients c, e.P(A) = sum_i c_i rows[i]
+    over the last len(c) rows.
+    """
+    Co = controllability_matrix(plant.A, plant.B)
+    unit_last = np.zeros(len(plant.B))
+    unit_last[-1] = 1.0
+    try:
+        e_row = np.linalg.solve(Co.T, unit_last)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("controllability matrix is singular") from exc
+    rows = [e_row]
+    A_columns = np.asarray(plant.A, dtype=float).T
+    for _ in range(len(e_row)):
+        rows.append(rowdot(rows[-1], A_columns))
+    return np.array(rows[::-1])
+
+
+def _apply(rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """e.P(A) for each row of descending coefficients of P (stack of rows)."""
+    basis = rows[len(rows) - coeffs.shape[-1]:]
+    return rowdot(coeffs[..., None, :], basis.T)
+
+
+def sliding_polynomial(zeta, omega_n, lambda3) -> np.ndarray:
+    """[1, c2, c1, c0] of (s^2 + 2 zeta omega_n s + omega_n^2)(s - lambda3) per row.
+
+    This is the characteristic polynomial of the sliding dynamics and the
+    common denominator of every closed-loop response.
+    """
+    zeta, omega_n, lambda3 = (np.asarray(v, dtype=float) for v in (zeta, omega_n, lambda3))
+    ones = np.ones_like(zeta)
+    quadratic = np.stack([ones, 2.0 * zeta * omega_n, omega_n * omega_n], axis=-1)
+    return _polymul(quadratic, np.stack([ones, -lambda3], axis=-1))
+
+
+def sliding_vectors(rows: np.ndarray, zeta, omega_n, lambda3) -> np.ndarray:
+    """eta = e.P1(A) for a stack of sliding pole layouts, (m, 4)."""
+    return _apply(rows, sliding_polynomial(zeta, omega_n, lambda3))
+
+
+def _closed_loop(plant: PlantStateSpace, k_gain: np.ndarray) -> np.ndarray:
+    """A - B k for each row of k, (m, 4, 4)."""
+    return plant.A - plant.B[:, None] * k_gain[:, None, :]
+
+
+def _placement_error(closed: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Relative distance between the achieved and the requested spectra, per row."""
+    achieved = np.sort_complex(np.linalg.eigvals(closed))
+    wanted = np.sort_complex(wanted)
+    return (np.linalg.norm(achieved - wanted, axis=-1)
+            / np.maximum(1.0, np.linalg.norm(wanted, axis=-1)))
+
+
+def _reduce(plant: PlantStateSpace, eta: np.ndarray, closed: np.ndarray,
+            lambda4: np.ndarray):
+    """Sliding-mode dynamics by the transformation w = T z, row by row.
+
+    T = [[I3, 0], [eta]] (det T = eta[3]) has the closed-form inverse
+    [[I3, 0], [t, 1/eta[3]]] with t = -eta[:3]/eta[3], so W = T closed T^-1,
+    with closed = A - B k, is assembled from elementwise products. In these coordinates the closed loop is block
+    triangular with the sliding poles in the upper-left block A1 and lambda4
+    alone in the bottom-right corner. alpha1 = -eta.D is the excitation
+    feedthrough; B1 collects the excitation path of the reduced states (for
+    this plant structure B1 = [0, 0, alpha2]). nu1 reconstructs the
+    equivalent control from z* and is independent of lambda4.
+
+    Returns (A1, B1, alpha1, alpha2, nu1, singular, inconsistent); the last
+    two flag rows whose T is singular or whose W is not block triangular.
+    """
+    singular = np.abs(eta[:, 3]) <= 1e-12 * np.maximum(1.0, np.sqrt(rowdot(eta, eta)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_last = 1.0 / eta[:, 3]
+        t_row = -eta[:, :3] / eta[:, 3:4]
+        X = np.empty_like(closed)                       # (A - B k) T^-1
+        X[:, :, :3] = closed[:, :, :3] + closed[:, :, 3:4] * t_row[:, None, :]
+        X[:, :, 3] = closed[:, :, 3] * inv_last[:, None]
+        W_last = rowdot(eta[:, None, :], np.swapaxes(X, 1, 2))  # row 3 of W
+        scale = np.maximum(1.0, np.maximum(np.abs(X[:, :3]).max(axis=(1, 2)),
+                                           np.abs(W_last).max(axis=1)))
+        inconsistent = ~((np.abs(W_last[:, :3]).max(axis=1) <= BLOCK_TOL * scale)
+                         & (np.abs(W_last[:, 3] - lambda4) <= BLOCK_TOL * scale))
+        A1 = X[:, :3, :3].copy()
+        alpha1 = -rowdot(eta, plant.D)
+        B1 = plant.D[:3] + alpha1[:, None] * plant.B[:3]
+        eta_A = rowdot(eta[:, None, :], plant.A.T)
+        nu1 = -(eta_A[:, :3] + eta_A[:, 3:4] * t_row)
+    return A1, B1, alpha1, B1[:, 2].copy(), nu1, singular, inconsistent
+
+
+def design_batch(plant: PlantStateSpace, zeta, omega_n, lambda3, lambda4,
+                 rows: np.ndarray | None = None) -> DesignBatch:
+    """Synthesize and check the sliding design of every row of a pole stack.
+
+    ``rows`` are the plant's ``ackermann_rows``, built here when omitted.
+    Each row is checked as the single-design path always did: eta.B = 1 to
+    ETA_B_TOL; the spectrum of A - B k against the requested poles by
+    ``eigvals`` at POLE_PLACEMENT_TOL; T nonsingular; and W block triangular
+    at BLOCK_TOL. The first failing check is recorded in ``reject``.
+    """
+    zeta, omega_n, lambda3, lambda4 = (np.asarray(v, dtype=float).reshape(-1)
+                                       for v in (zeta, omega_n, lambda3, lambda4))
+    if rows is None:
+        rows = ackermann_rows(plant)
+    sliding = sliding_polynomial(zeta, omega_n, lambda3)
+    full = _polymul(sliding, np.stack([np.ones_like(lambda4), -lambda4], axis=-1))
+    eta = _apply(rows, sliding)
+    k_gain = _apply(rows, full)
+
+    closed = _closed_loop(plant, k_gain)
+    real, imag = -zeta * omega_n, omega_n * np.sqrt(1.0 - zeta * zeta)
+    wanted = np.stack([real - 1j * imag, real + 1j * imag, lambda3, lambda4], axis=-1)
+    A1, B1, alpha1, alpha2, nu1, singular, inconsistent = _reduce(plant, eta, closed, lambda4)
+
+    checks = (np.abs(rowdot(eta, plant.B) - 1.0) > ETA_B_TOL,
+              _placement_error(closed, wanted) > POLE_PLACEMENT_TOL,
+              singular, inconsistent)
+    reject = np.zeros(len(zeta), dtype=int)
+    for code in range(len(checks), 0, -1):     # the first failing check wins
+        reject[checks[code - 1]] = code
+    return DesignBatch(zeta=zeta, omega_n=omega_n, lambda3=lambda3, lambda4=lambda4,
+                       eta=eta, k_gain=k_gain, alpha1=alpha1, alpha2=alpha2,
+                       A1=A1, B1=B1, nu1=nu1, reject=reject)
 
 
 def ackermann_gain(plant: PlantStateSpace, poles) -> np.ndarray:
@@ -194,65 +410,40 @@ def ackermann_gain(plant: PlantStateSpace, poles) -> np.ndarray:
     poles = list(poles)
     if len(poles) != len(plant.B):
         raise ConfigError(f"need {len(plant.B)} poles, got {len(poles)}")
-    e_row = _inverse_ctrb_row(plant)
-    k = e_row @ _poly_of_matrix(plant.A, poles)
-    _check_pole_placement(plant.A - np.outer(plant.B, k), poles)
-    return k
+    k = _apply(ackermann_rows(plant), _real_polynomial(poles)[None])
+    wanted = np.array([[complex(p) for p in poles]])
+    err = float(_placement_error(_closed_loop(plant, k), wanted)[0])
+    if err > POLE_PLACEMENT_TOL:
+        raise NumericalError(f"pole placement failed for {wanted[0]} "
+                             f"(relative error {err:.3e})")
+    return k[0]
 
 
 def sliding_vector(plant: PlantStateSpace, lambda1, lambda2, lambda3) -> np.ndarray:
     """Sliding vector eta = e.P1(A) for the three sliding-mode poles.
 
-    By construction eta.B = 1; this identity is verified to 1e-9.
+    By construction eta.B = 1; this identity is verified to ETA_B_TOL.
     """
-    e_row = _inverse_ctrb_row(plant)
-    eta = e_row @ _poly_of_matrix(plant.A, [lambda1, lambda2, lambda3])
-    gain = float(eta @ plant.B)
-    if abs(gain - 1.0) > 1e-9:
+    eta = _apply(ackermann_rows(plant), _real_polynomial([lambda1, lambda2, lambda3])[None])[0]
+    gain = float(rowdot(eta, plant.B))
+    if abs(gain - 1.0) > ETA_B_TOL:
         raise NumericalError(f"eta.B = {gain!r} deviates from 1 beyond tolerance")
     return eta
 
 
-def _transformation(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """T = [[I3, 0], [eta]] and its closed-form inverse; det(T) = eta[3]."""
-    if abs(eta[3]) <= 1e-12 * max(1.0, np.linalg.norm(eta)):
-        raise NumericalError("transformation T is singular: last sliding weight is zero")
-    T = np.eye(4)
-    T[3, :] = eta
-    Tinv = np.eye(4)
-    Tinv[3, :3] = -eta[:3] / eta[3]
-    Tinv[3, 3] = 1.0 / eta[3]
-    return T, Tinv
-
-
 def reduced_dynamics(plant: PlantStateSpace, eta: np.ndarray, k_gain: np.ndarray,
                      lambda4: float) -> ReducedDynamics:
-    """Sliding-mode dynamics obtained by the transformation w = T z.
-
-    In the transformed coordinates the closed loop is block triangular with
-    the sliding poles in the upper-left block A1 and lambda4 alone in the
-    bottom-right corner. alpha1 = -eta.D is the excitation feedthrough;
-    B1 collects the excitation path of the reduced states (for this plant
-    structure B1 = [0, 0, alpha2]). nu1 reconstructs the equivalent control
-    from z* and is independent of lambda4.
-    """
-    eta = np.asarray(eta, dtype=float)
-    T, Tinv = _transformation(eta)
-    closed = plant.A - np.outer(plant.B, np.asarray(k_gain, dtype=float))
-    W = T @ closed @ Tinv
-
-    scale = max(1.0, np.abs(W).max())
-    if np.abs(W[3, :3]).max() > 1e-6 * scale or abs(W[3, 3] - lambda4) > 1e-6 * scale:
-        raise NumericalError("eta, k_gain, and lambda4 are mutually inconsistent; "
-                             "transformed dynamics are not block triangular")
-
-    A1 = W[:3, :3].copy()
-    alpha1 = float(-(eta @ plant.D))
-    B1 = plant.D[:3] + alpha1 * plant.B[:3]
-    alpha2 = float(B1[2])
-    nu = -(eta @ plant.A) @ Tinv
-    nu1 = nu[:3].copy()
-    return ReducedDynamics(A1=A1, B1=B1, T=T, alpha1=alpha1, alpha2=alpha2, nu1=nu1)
+    """Sliding-mode dynamics of one design (see ``_reduce``)."""
+    A1, B1, alpha1, alpha2, nu1, singular, inconsistent = _reduce(
+        plant, np.asarray(eta, dtype=float)[None],
+        _closed_loop(plant, np.asarray(k_gain, dtype=float)[None]),
+        np.array([lambda4], dtype=float))
+    if singular[0]:
+        raise NumericalError(REJECT_MESSAGES[3])
+    if inconsistent[0]:
+        raise NumericalError(REJECT_MESSAGES[4])
+    return ReducedDynamics(A1=A1[0], B1=B1[0], alpha1=float(alpha1[0]),
+                           alpha2=float(alpha2[0]), nu1=nu1[0])
 
 
 def switching_gain(chi: float, varpi: float, varsigma: float = 0.5) -> float:
@@ -285,21 +476,9 @@ def design_sliding_controller(plant: PlantStateSpace, poles: PoleSpec,
                               epsilon: float = 0.05) -> SlidingDesign:
     """Synthesize the complete sliding design for one pole layout.
 
-    The switching gain is left unset; it depends on the excitation band
-    analysis (see freqresp.band_peak and switching_gain).
+    This is ``design_batch`` with a stack of one. The switching gain is left
+    unset; it depends on the excitation band analysis (see
+    freqresp.band_peak and switching_gain).
     """
-    eta = sliding_vector(plant, *poles.sliding_poles())
-    k = ackermann_gain(plant, poles.all_poles())
-    red = reduced_dynamics(plant, eta, k, poles.lambda4)
-    return SlidingDesign(
-        poles=poles,
-        eta=eta,
-        k_gain=k,
-        alpha1=red.alpha1,
-        alpha2=red.alpha2,
-        A1=red.A1,
-        B1=red.B1,
-        T=red.T,
-        nu1=red.nu1,
-        epsilon=epsilon,
-    )
+    batch = design_batch(plant, poles.zeta, poles.omega_n, poles.lambda3, poles.lambda4)
+    return batch.design(0, epsilon)

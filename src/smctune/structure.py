@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, finite_number
 
 __all__ = [
     "RayleighSpec",
@@ -106,6 +106,8 @@ class ExcitationBounds:
     varpi: float   # max |friction force|, N
 
     def __post_init__(self):
+        object.__setattr__(self, "delta", finite_number("delta", self.delta))
+        object.__setattr__(self, "varpi", finite_number("varpi", self.varpi))
         if self.delta <= 0:
             raise ConfigError(f"delta must be positive, got {self.delta}")
         if self.varpi < 0:

@@ -1,25 +1,26 @@
 """Exhaustive feasibility-filtered grid search over the pole layout.
 
-The scan walks the (zeta, omega_n) rectangle with fixed increments, builds
-the sliding design at every point, discards candidates whose transfer zeros
-sit too close to the dominant pair or whose band-limited RMS responses exceed
-the configured ceilings, and finally picks the survivor minimizing either the
+The scan covers the (zeta, omega_n) rectangle with fixed increments in one
+batched pass. The sliding vectors of all grid points come from the plant's
+Ackermann rows; candidates whose transfer zeros sit too close to the dominant
+pair are masked out; the survivors get their full designs, design checks and
+band-limited RMS responses as stacked arrays; those exceeding the configured
+ceilings are dropped. The scan then picks the survivor minimizing either the
 top-floor displacement index (kappa2) or the control-effort index (kappa_u).
 The switching gain follows from the force peak of the winning design.
 """
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleDesignError, InfeasibleTuningError, NumericalError
-from .freqresp import (DEFAULT_BAND, DEFAULT_SAMPLES, band_peak, band_rms,
-                       build_transfer_functions, transfer_zeros)
-from .smc import PoleSpec, SlidingDesign, design_sliding_controller, switching_gain
+from .errors import ConfigError, InfeasibleTuningError, finite_number
+from .freqresp import DEFAULT_BAND, DEFAULT_SAMPLES, band_table, transfer_batch, zero_rows
+from .smc import (LAMBDA3_FACTOR, PoleSpec, SlidingDesign, ackermann_rows, design_batch,
+                  design_sliding_controller, sliding_vectors, switching_gain)
 from .structure import ModalModel, PlantStateSpace
 
 __all__ = [
@@ -36,6 +37,17 @@ __all__ = [
 
 INDEX_CHOICES = ("jz2", "ju")
 
+#: most (zeta, omega_n) points one scan may cover; the scan holds a few
+#: numbers per point at once (a 0.001 step over both fixture ranges is
+#: 401 x 501 = 200 901 points)
+MAX_GRID_POINTS = 250_000
+#: most frequency samples per band; one band row of this many floats is held
+#: per block of survivors (2000 samples already converge to 5e-5)
+MAX_SAMPLES = 100_000
+
+_REAL_FIELDS = ("zeta_l", "zeta_u", "delta_zeta", "omega_nl", "omega_nu", "delta_omega",
+                "gamma1", "gamma2", "varsigma", "epsilon", "lambda4_factor")
+
 INFEASIBLE_MESSAGE = ("no feasible sliding design for this initialization; "
                       "relax the kappa ceilings or widen the zeta/omega_n ranges")
 
@@ -51,8 +63,10 @@ class KappaBounds:
 
     def __post_init__(self):
         for name in ("kappa1", "kappa2", "kappa3", "kappa_u"):
-            if getattr(self, name) <= 0:
+            value = finite_number(f"{name} ceiling", getattr(self, name))
+            if value <= 0:
                 raise ConfigError(f"{name} ceiling must be positive")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -62,6 +76,10 @@ class TuningConfig:
     omega_nl/omega_nu/delta_omega are expressed as multiples of the dominant
     structural frequency omega0; zeta is dimensionless. lambda4 only matters
     for the reaching analysis and is set to -lambda4_factor*zeta*omega_n.
+    Every field is checked here, so a config that loads can be scanned: all
+    numbers finite, 0 < zeta_l < zeta_u < 1, 0 < omega_nl < omega_nu, a band
+    with lower < upper, 2 <= n_samples <= MAX_SAMPLES, and at most
+    MAX_GRID_POINTS points.
     """
 
     kappa_bars: KappaBounds
@@ -81,10 +99,32 @@ class TuningConfig:
     lambda4_factor: float = 10.0
 
     def __post_init__(self):
+        if not isinstance(self.kappa_bars, KappaBounds):
+            raise ConfigError("kappa_bars must be a KappaBounds")
+        for name in _REAL_FIELDS:
+            object.__setattr__(self, name, finite_number(name, getattr(self, name)))
+        try:
+            lo, hi = self.band
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"band must be a pair (lower, upper), got {self.band!r}") from exc
+        band = (finite_number("band lower edge", lo), finite_number("band upper edge", hi))
+        if not band[0] < band[1]:
+            raise ConfigError(f"band must satisfy lower < upper, got {band}")
+        object.__setattr__(self, "band", band)
+        n_samples = finite_number("n_samples", self.n_samples)
+        if n_samples != int(n_samples) or not 2 <= n_samples <= MAX_SAMPLES:
+            raise ConfigError(f"n_samples must be an integer in [2, {MAX_SAMPLES}], "
+                              f"got {self.n_samples}")
+        object.__setattr__(self, "n_samples", int(n_samples))
         if not self.zeta_l < self.zeta_u:
             raise ConfigError("zeta_l must be smaller than zeta_u")
+        if not (0.0 < self.zeta_l and self.zeta_u < 1.0):
+            raise ConfigError(f"zeta range must lie inside (0, 1), got "
+                              f"[{self.zeta_l}, {self.zeta_u}]")
         if not self.omega_nl < self.omega_nu:
             raise ConfigError("omega_nl must be smaller than omega_nu")
+        if not self.omega_nl > 0.0:
+            raise ConfigError(f"omega_nl must be positive, got {self.omega_nl}")
         if self.delta_zeta <= 0 or self.delta_omega <= 0:
             raise ConfigError("grid increments must be positive")
         if self.gamma1 <= 0 or self.gamma2 <= 0:
@@ -95,12 +135,22 @@ class TuningConfig:
             raise ConfigError("varsigma and epsilon must be positive")
         if self.lambda4_factor <= 0:
             raise ConfigError("lambda4_factor must be positive")
+        points = (_axis_count(self.zeta_l, self.zeta_u, self.delta_zeta)
+                  * _axis_count(self.omega_nl, self.omega_nu, self.delta_omega))
+        if points > MAX_GRID_POINTS:
+            raise ConfigError(f"the grid has {points:.4g} points, above the cap of "
+                              f"{MAX_GRID_POINTS}; use larger delta_zeta or delta_omega")
 
     def zeta_values(self) -> np.ndarray:
         return _inclusive_grid(self.zeta_l, self.zeta_u, self.delta_zeta)
 
     def omega_ratios(self) -> np.ndarray:
         return _inclusive_grid(self.omega_nl, self.omega_nu, self.delta_omega)
+
+    def poles(self, zeta: float, omega_n: float) -> PoleSpec:
+        """Pole layout of one grid point: default lambda3, lambda4 from the factor."""
+        return PoleSpec(zeta=zeta, omega_n=omega_n,
+                        lambda4=-self.lambda4_factor * zeta * omega_n)
 
     def to_dict(self) -> dict:
         return {
@@ -122,10 +172,14 @@ class TuningConfig:
         }
 
 
+def _axis_count(lo: float, hi: float, step: float) -> float:
+    """Number of points of lo, lo+step, ... <= hi, as a float (inf when huge)."""
+    return float(np.floor((hi - lo) / step + 1e-9)) + 1.0
+
+
 def _inclusive_grid(lo: float, hi: float, step: float) -> np.ndarray:
     """lo, lo+step, ... up to hi inclusive (tolerant of float step error)."""
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(count)
+    return lo + step * np.arange(int(_axis_count(lo, hi, step)))
 
 
 def load_tuning_config(source) -> TuningConfig:
@@ -145,13 +199,10 @@ def load_tuning_config(source) -> TuningConfig:
         raise ConfigError("tuning config needs a 'kappa_bars' object")
     bars = cfg.pop("kappa_bars")
     try:
-        kappa_bars = KappaBounds(
-            kappa1=float(bars["kappa1"]), kappa2=float(bars["kappa2"]),
-            kappa3=float(bars["kappa3"]), kappa_u=float(bars["kappa_u"]))
+        kappa_bars = KappaBounds(kappa1=bars["kappa1"], kappa2=bars["kappa2"],
+                                 kappa3=bars["kappa3"], kappa_u=bars["kappa_u"])
     except (KeyError, TypeError) as exc:
         raise ConfigError("kappa_bars needs numeric kappa1, kappa2, kappa3, kappa_u") from exc
-    if "band" in cfg:
-        cfg["band"] = tuple(float(x) for x in cfg["band"])
     known = set(TuningConfig.__dataclass_fields__)
     unknown = set(cfg) - known
     if unknown:
@@ -258,69 +309,42 @@ def _span(values) -> tuple[float, float]:
     return float(min(values)), float(max(values))
 
 
-def _evaluate_point(plant: PlantStateSpace, omega0: float, config: TuningConfig,
-                    zeta: float, ratio: float) -> TuningTuple | None:
-    """Build and screen one candidate; None when any feasibility check fails."""
-    omega_n = ratio * omega0
-    poles = PoleSpec(zeta=zeta, omega_n=omega_n,
-                     lambda4=-config.lambda4_factor * zeta * omega_n)
-    try:
-        design = design_sliding_controller(plant, poles, epsilon=config.epsilon)
-        psi1, psi2 = transfer_zeros(design.eta)
-    except InfeasibleDesignError:
-        return None
-    except NumericalError:
-        return None
-
-    zw = zeta * omega_n
-    if abs(psi1) / zw < config.gamma1 or abs(psi2) / zw < config.gamma2:
-        return None
-
-    tfs = build_transfer_functions(design)
-    delta = plant.bounds.delta
-    k1 = band_rms(tfs.g1, delta, config.band, config.n_samples)
-    k2 = band_rms(tfs.g2, delta, config.band, config.n_samples)
-    k3 = band_rms(tfs.g3, delta, config.band, config.n_samples)
-    ku = band_rms(tfs.gu, delta, config.band, config.n_samples)
-    bars = config.kappa_bars
-    if (k1 > bars.kappa1 or k2 > bars.kappa2 or k3 > bars.kappa3
-            or ku + plant.bounds.varpi > bars.kappa_u):
-        return None
-
-    return TuningTuple(
-        zeta=float(zeta), omega_n=float(omega_n), omega_ratio=float(ratio),
-        eta=design.eta, kappa1=k1, kappa2=k2, kappa3=k3, kappa_u=ku,
-        lambda1=poles.lambda1, lambda2=poles.lambda2, lambda3=poles.lambda3,
-        psi1=psi1, psi2=psi2)
-
-
-def tune(plant: PlantStateSpace, modal: ModalModel, config: TuningConfig,
-         workers: int = 1) -> TuningResult:
+def tune(plant: PlantStateSpace, modal: ModalModel, config: TuningConfig) -> TuningResult:
     """Run the full grid scan and pick the index-minimizing design.
 
-    Grid points are independent; with workers > 1 they are evaluated in a
-    thread pool and re-assembled in scan order, so the result is identical to
-    a serial run. Ties on the index value break toward smaller omega_n, then
-    smaller zeta.
+    One batched pass: the zero screen on the sliding vectors of every grid
+    point, then ``design_batch`` (with its per-row design checks) and
+    ``band_table`` on the survivors only. The checks are conjunctive, so the
+    order does not change the feasible set. Ties on the index value break
+    toward smaller omega_n, then smaller zeta. The winning design is its
+    batch row.
     """
     omega0 = modal.omega0
-    zetas = config.zeta_values()
-    ratios = config.omega_ratios()
-    grid = [(z, r) for z in zetas for r in ratios]
+    zetas, ratios = config.zeta_values(), config.omega_ratios()
+    zeta = np.repeat(zetas, len(ratios))          # zeta-major scan order
+    ratio = np.tile(ratios, len(zetas))
+    omega_n = ratio * omega0
+    lambda3 = -LAMBDA3_FACTOR * zeta * omega_n
+    lambda4 = -config.lambda4_factor * zeta * omega_n
 
-    if workers > 1:
-        chunk = max(1, len(grid) // (8 * workers))
-        pieces = [grid[i:i + chunk] for i in range(0, len(grid), chunk)]
+    rows = ackermann_rows(plant)
+    psi1, psi2, defined = zero_rows(sliding_vectors(rows, zeta, omega_n, lambda3))
+    zw = zeta * omega_n
+    with np.errstate(invalid="ignore"):
+        screened = np.flatnonzero(defined & (np.abs(psi1) / zw >= config.gamma1)
+                                  & (np.abs(psi2) / zw >= config.gamma2))
+    designs = design_batch(plant, zeta[screened], omega_n[screened], lambda3[screened],
+                           lambda4[screened], rows)
+    valid = designs.reject == 0
+    designs, ratio = designs.take(valid), ratio[screened[valid]]
+    transfer = transfer_batch(designs)
+    kappa, chi = band_table(transfer, plant.bounds.delta, config.band, config.n_samples)
 
-        def run(piece):
-            return [_evaluate_point(plant, omega0, config, z, r) for z, r in piece]
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            evaluated = [t for part in pool.map(run, pieces) for t in part]
-    else:
-        evaluated = [_evaluate_point(plant, omega0, config, z, r) for z, r in grid]
-
-    tuples = tuple(t for t in evaluated if t is not None)
+    bars = config.kappa_bars
+    feasible = np.flatnonzero((kappa[:, 0] <= bars.kappa1) & (kappa[:, 1] <= bars.kappa2)
+                              & (kappa[:, 2] <= bars.kappa3)
+                              & (kappa[:, 3] + plant.bounds.varpi <= bars.kappa_u))
+    tuples = tuple(_tuning_tuple(config, designs, transfer, ratio, kappa, i) for i in feasible)
     if not tuples:
         return TuningResult(config=config, omega0=omega0, tuples=(),
                             message=INFEASIBLE_MESSAGE)
@@ -328,16 +352,24 @@ def tune(plant: PlantStateSpace, modal: ModalModel, config: TuningConfig,
     best_index = min(range(len(tuples)),
                      key=lambda i: (tuples[i].index_value(config.index),
                                     tuples[i].omega_ratio, tuples[i].zeta))
-    best = tuples[best_index]
-    poles = PoleSpec(zeta=best.zeta, omega_n=best.omega_n,
-                     lambda4=-config.lambda4_factor * best.zeta * best.omega_n)
-    design = design_sliding_controller(plant, poles, epsilon=config.epsilon)
-    chi = band_peak(build_transfer_functions(design).gu, plant.bounds.delta,
-                    config.band, config.n_samples)
-    M0 = switching_gain(chi, plant.bounds.varpi, config.varsigma)
+    row = int(feasible[best_index])
+    chi_best = float(chi[row])
+    M0 = switching_gain(chi_best, plant.bounds.varpi, config.varsigma)
+    design = designs.design(row, epsilon=config.epsilon).with_switching_gain(M0)
     return TuningResult(config=config, omega0=omega0, tuples=tuples,
-                        best_index=best_index,
-                        design=design.with_switching_gain(M0), chi=chi, M0=M0)
+                        best_index=best_index, design=design, chi=chi_best, M0=M0)
+
+
+def _tuning_tuple(config: TuningConfig, designs, transfer, ratio: np.ndarray,
+                  kappa: np.ndarray, i: int) -> TuningTuple:
+    zeta, omega_n = float(designs.zeta[i]), float(designs.omega_n[i])
+    poles = config.poles(zeta, omega_n)
+    k1, k2, k3, ku = (float(k) for k in kappa[i])
+    return TuningTuple(
+        zeta=zeta, omega_n=omega_n, omega_ratio=float(ratio[i]),
+        eta=designs.eta[i].copy(), kappa1=k1, kappa2=k2, kappa3=k3, kappa_u=ku,
+        lambda1=poles.lambda1, lambda2=poles.lambda2, lambda3=poles.lambda3,
+        psi1=float(transfer.psi1[i]), psi2=float(transfer.psi2[i]))
 
 
 def feasible_region(result: TuningResult) -> dict[str, tuple[float, float]]:
@@ -391,9 +423,8 @@ def result_from_dict(d: dict, plant: PlantStateSpace) -> TuningResult:
     design = None
     if best_index is not None:
         best = tuples[best_index]
-        poles = PoleSpec(zeta=best.zeta, omega_n=best.omega_n,
-                         lambda4=-config.lambda4_factor * best.zeta * best.omega_n)
-        design = design_sliding_controller(plant, poles, epsilon=config.epsilon)
+        design = design_sliding_controller(plant, config.poles(best.zeta, best.omega_n),
+                                           epsilon=config.epsilon)
         if d.get("M0") is not None:
             design = design.with_switching_gain(d["M0"])
     return TuningResult(config=config, omega0=float(d["omega0"]), tuples=tuples,

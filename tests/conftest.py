@@ -128,27 +128,71 @@ def make_random_plant(rng: np.random.Generator, ctrb_floor: float = 1e-6) -> st.
     return st.PlantStateSpace(A=A, B=B, D=D, bounds=st.ExcitationBounds(1.0, 0.0))
 
 
-def quad_band_rms(design: st.SlidingDesign, channel: str, delta: float,
-                  band=st.DEFAULT_BAND) -> float:
-    """Independent kappa oracle: adaptive quadrature on the state-space resolvent.
+def resolvent_response(design: st.SlidingDesign, channel: str, omega) -> np.ndarray:
+    """Independent state-space evaluation of c (j w I - A1)^{-1} B1 + d per w.
 
-    sqrt(mean over the band of |delta (c (j w I - A1)^{-1} B1 + d)|^2), with
-    (c, d) the unit selector of z1/z2/z3 for channel "1"/"2"/"3" and
-    (nu1, alpha1) for the force channel "u". It shares neither the rational
-    realization nor the frequency grid with ``band_rms``.
+    (c, d) is the unit selector of z1/z2/z3 for channel "1"/"2"/"3" and
+    (nu1, alpha1) for the force channel "u". It shares no code with the
+    rational realization of ``build_transfer_functions``.
     """
     if channel == "u":
         c_row, feed = design.nu1, design.alpha1
     else:
         c_row, feed = np.eye(3)[int(channel) - 1], 0.0
     eye = np.eye(3)
+    return np.array([c_row @ np.linalg.solve(1j * w * eye - design.A1, design.B1) + feed
+                     for w in np.atleast_1d(omega)])
 
+
+def quad_band_rms(design: st.SlidingDesign, channel: str, delta: float,
+                  band=st.DEFAULT_BAND) -> float:
+    """Independent kappa oracle: adaptive quadrature on the state-space resolvent.
+
+    sqrt(mean over the band of |delta resolvent_response|^2). It shares
+    neither the rational realization nor the frequency grid with ``band_rms``.
+    """
     def mag_sq(w):
-        return abs(c_row @ np.linalg.solve(1j * w * eye - design.A1, design.B1) + feed) ** 2
+        return abs(resolvent_response(design, channel, w)[0]) ** 2
 
     lo, hi = band
     integral, _ = quad(mag_sq, lo, hi, limit=200, epsabs=0.0, epsrel=1e-10)
     return float(delta * np.sqrt(integral / (hi - lo)))
+
+
+def scalar_path_mismatches(result: st.TuningResult, plant: st.PlantStateSpace) -> list[str]:
+    """What of a batched scan differs from the single-design path.
+
+    Every feasible tuple is rebuilt alone through ``design_sliding_controller``,
+    ``transfer_zeros``, ``build_transfer_functions`` and ``band_rms``, and the
+    winner's chi and M0 through ``band_peak`` and ``switching_gain``; any field
+    that is not bit-identical is named in the returned list.
+    """
+    config, delta = result.config, plant.bounds.delta
+    band, n = config.band, config.n_samples
+    mismatches = []
+    for i, t in enumerate(result.tuples):
+        design = st.design_sliding_controller(plant, config.poles(t.zeta, t.omega_n),
+                                              epsilon=config.epsilon)
+        if not np.array_equal(design.eta, t.eta):
+            mismatches.append(f"tuple {i}: eta")
+        if st.transfer_zeros(design.eta) != (t.psi1, t.psi2):
+            mismatches.append(f"tuple {i}: psi1, psi2")
+        tfs = st.build_transfer_functions(design)
+        kappas = tuple(st.band_rms(tf, delta, band, n) for tf in (tfs.g1, tfs.g2, tfs.g3, tfs.gu))
+        if kappas != (t.kappa1, t.kappa2, t.kappa3, t.kappa_u):
+            mismatches.append(f"tuple {i}: kappas")
+    best = result.best
+    design = st.design_sliding_controller(plant, config.poles(best.zeta, best.omega_n),
+                                          epsilon=config.epsilon)
+    if not (np.array_equal(design.eta, result.design.eta)
+            and np.array_equal(design.k_gain, result.design.k_gain)):
+        mismatches.append("winner: eta, k_gain")
+    chi = st.band_peak(st.build_transfer_functions(design).gu, delta, band, n)
+    if chi != result.chi:
+        mismatches.append("winner: chi")
+    if st.switching_gain(chi, plant.bounds.varpi, config.varsigma) != result.M0:
+        mismatches.append("winner: M0")
+    return mismatches
 
 
 def make_random_poles(rng: np.random.Generator) -> st.PoleSpec:

@@ -142,3 +142,25 @@ def test_compare_command(tmp_path):
     passive_rms = payload["results"]["passive"]["z2"]["rms"]
     smc_rms = payload["results"]["smc-jz2"]["z2"]["rms"]
     assert smc_rms < passive_rms
+
+
+def test_tune_nan_kappa_ceiling_exits_2(tmp_path, capsys):
+    from smctune.fixtures import fixture_path
+    raw = json.loads(fixture_path("quanser_tuning.json").read_text())
+    raw["kappa_bars"]["kappa2"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    rc = main(["tune", "--config", "quanser.json", "--tuning", str(path), "--out", str(out)])
+    assert rc == 2
+    assert not (out / "result.json").exists()
+    assert "kappa2" in capsys.readouterr().err
+
+
+def test_building_nan_delta_exits_2(tmp_path):
+    from smctune.fixtures import fixture_path
+    raw = json.loads(fixture_path("quanser.json").read_text())
+    raw["bounds"]["delta"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(raw))
+    assert main(["model", "--config", str(path), "--out", str(tmp_path / "out")]) == 2

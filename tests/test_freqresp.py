@@ -5,20 +5,13 @@ from scipy.optimize import minimize_scalar
 
 import smctune as st
 from smctune.errors import ConfigError, InfeasibleDesignError
-from conftest import make_random_poles, quad_band_rms
+from conftest import make_random_poles, quad_band_rms, resolvent_response
 
 
 @pytest.fixture(scope="module")
 def table1_design(five_story):
     _, modal, plant = five_story
     return st.design_sliding_controller(plant, st.PoleSpec(zeta=0.5, omega_n=0.5 * modal.omega0))
-
-
-def _resolvent_oracle(A1, B1, c_row, omega, feedthrough=0.0):
-    """Independent numeric evaluation of c (j w I - A1)^{-1} B1 + d."""
-    eye = np.eye(3)
-    return np.array([c_row @ np.linalg.solve(1j * w * eye - A1, B1) + feedthrough
-                     for w in omega])
 
 
 def test_zeros_five_story(table1_design):
@@ -41,14 +34,11 @@ def test_state_space_cross_oracle(table1_design):
     tfs = st.build_transfer_functions(design)
     rng = np.random.default_rng(3)
     omega = rng.uniform(0.5, 150.0, size=50)
-    selectors = {"g1": np.array([1.0, 0, 0]), "g2": np.array([0, 1.0, 0]),
-                 "g3": np.array([0, 0, 1.0])}
-    for name, c_row in selectors.items():
-        expected = _resolvent_oracle(design.A1, design.B1, c_row, omega)
-        got = getattr(tfs, name)(1j * omega)
+    for channel in ("1", "2", "3"):
+        expected = resolvent_response(design, channel, omega)
+        got = getattr(tfs, f"g{channel}")(1j * omega)
         assert np.max(np.abs(got - expected) / np.abs(expected)) < 1e-8
-    expected_u = _resolvent_oracle(design.A1, design.B1, design.nu1, omega,
-                                   feedthrough=design.alpha1)
+    expected_u = resolvent_response(design, "u", omega)
     got_u = tfs.gu(1j * omega)
     assert np.max(np.abs(got_u - expected_u) / np.abs(expected_u)) < 1e-8
 
@@ -58,7 +48,6 @@ def test_state_space_cross_oracle_random_designs():
     # so randomize over physical parameter draws rather than raw matrices
     rng = np.random.default_rng(17)
     omega = rng.uniform(0.5, 80.0, size=30)
-    selectors = (np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0, 0, 1.0]))
     checked = 0
     while checked < 10:
         m0 = rng.uniform(1.0, 50.0)
@@ -76,12 +65,11 @@ def test_state_space_cross_oracle_random_designs():
         except (InfeasibleDesignError, st.NumericalError):
             continue
         checked += 1
-        for tf, c_row in zip((tfs.g1, tfs.g2, tfs.g3), selectors):
-            expected = _resolvent_oracle(design.A1, design.B1, c_row, omega)
+        for tf, channel in zip((tfs.g1, tfs.g2, tfs.g3), "123"):
+            expected = resolvent_response(design, channel, omega)
             got = tf(1j * omega)
             assert np.max(np.abs(got - expected) / np.abs(expected)) < 1e-8
-        expected_u = _resolvent_oracle(design.A1, design.B1, design.nu1, omega,
-                                       feedthrough=design.alpha1)
+        expected_u = resolvent_response(design, "u", omega)
         got_u = tfs.gu(1j * omega)
         assert np.max(np.abs(got_u - expected_u) / np.abs(expected_u)) < 1e-8
         # band RMS against quadrature: the trapezoid error on these draws is

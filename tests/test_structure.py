@@ -213,3 +213,10 @@ def test_load_building_config_validation(tmp_path):
         st.load_building_config(bad)
     with pytest.raises(ConfigError, match="floors"):
         st.load_building_config({"damping": {}, "atmd": {}, "bounds": {}})
+
+
+@pytest.mark.parametrize("delta, varpi", [(float("nan"), 0.5), (float("inf"), 0.5),
+                                          (0.5, float("nan")), (0.5, float("inf"))])
+def test_excitation_bounds_must_be_finite(delta, varpi):
+    with pytest.raises(ConfigError):
+        st.ExcitationBounds(delta, varpi)

@@ -1,10 +1,14 @@
 """Grid-search tuning: published operating points, regions, and determinism."""
+import json
+
 import numpy as np
 import pytest
 
 import smctune as st
+import smctune.cli
 from smctune.errors import ConfigError, InfeasibleTuningError
-from conftest import quad_band_rms
+from smctune.fixtures import fixture_path
+from conftest import quad_band_rms, scalar_path_mismatches
 
 
 def test_five_story_jz2_operating_point(five_story, tune_five_jz2):
@@ -160,18 +164,13 @@ def test_saved_tuples_revalidate_bit_for_bit(five_story, tune_five_jz2):
         assert st.band_rms(tfs.gu, delta, config.band, config.n_samples) == t.kappa_u
 
 
-def test_parallel_matches_serial(quanser, quanser_tuning, tune_quanser_jz2):
-    _, modal, plant = quanser
-    serial = tune_quanser_jz2.result
-    parallel = st.tune(plant, modal, quanser_tuning, workers=4)
-    assert parallel.feasible_count == serial.feasible_count
-    assert parallel.best_index == serial.best_index
-    assert parallel.M0 == serial.M0 and parallel.chi == serial.chi
-    for a, b in zip(serial.tuples, parallel.tuples):
-        assert a.zeta == b.zeta and a.omega_ratio == b.omega_ratio
-        assert np.array_equal(a.eta, b.eta)
-        assert (a.kappa1, a.kappa2, a.kappa3, a.kappa_u) == \
-               (b.kappa1, b.kappa2, b.kappa3, b.kappa_u)
+def test_batched_scan_matches_scalar_path(quanser, tune_quanser_jz2, tune_quanser_ju):
+    # the scan is one batched pass; each of its rows must equal the same
+    # design computed alone, bit for bit, on both indexes
+    _, _, plant = quanser
+    for timed in (tune_quanser_jz2, tune_quanser_ju):
+        assert timed.result.feasible_count == 80
+        assert scalar_path_mismatches(timed.result, plant) == []
 
 
 def test_result_json_roundtrip(tmp_path, five_story, tune_quanser_jz2, quanser):
@@ -208,3 +207,80 @@ def test_tuning_config_validation():
     with pytest.raises(ConfigError):
         st.load_tuning_config({"kappa_bars": {"kappa1": -1.0, "kappa2": 0.01,
                                               "kappa3": 0.7, "kappa_u": 12.0}})
+
+
+def _quanser_tuning(**changes) -> dict:
+    raw = json.loads(fixture_path("quanser_tuning.json").read_text())
+    return {**raw, **changes}
+
+
+@pytest.mark.parametrize("name", ["kappa1", "kappa2", "kappa3", "kappa_u"])
+def test_nan_kappa_ceiling_rejected_at_load(name):
+    # k > nan is False, so a NaN ceiling would silently switch its
+    # constraint off (124 "feasible" Quanser points instead of 80 for kappa2)
+    raw = _quanser_tuning()
+    bars = {**raw["kappa_bars"], name: float("nan")}
+    with pytest.raises(ConfigError, match=name):
+        st.load_tuning_config({**raw, "kappa_bars": bars})
+    with pytest.raises(ConfigError):
+        st.KappaBounds(**{**bars, name: float("inf")})
+
+
+def test_reversed_band_rejected_at_load():
+    with pytest.raises(ConfigError, match="band"):
+        st.load_tuning_config(_quanser_tuning(band=[40.0 * np.pi, 2.0 * np.pi]))
+    with pytest.raises(ConfigError, match="band"):
+        st.load_tuning_config(_quanser_tuning(band=[2.0 * np.pi, float("nan")]))
+
+
+@pytest.mark.parametrize("n_samples", [1, 0, -5, 2.5, 10**9])
+def test_bad_sample_count_rejected_at_load(n_samples):
+    with pytest.raises(ConfigError, match="n_samples"):
+        st.load_tuning_config(_quanser_tuning(n_samples=n_samples))
+
+
+@pytest.mark.parametrize("zeta_u", [1.0, 1.2])
+def test_zeta_range_reaching_one_rejected_at_load(zeta_u):
+    with pytest.raises(ConfigError, match="zeta"):
+        st.load_tuning_config(_quanser_tuning(zeta_u=zeta_u))
+
+
+@pytest.mark.parametrize("key, value", [("zeta_l", "0.5"), ("gamma1", float("nan")),
+                                        ("delta_omega", float("inf")), ("epsilon", True)])
+def test_non_finite_or_non_numeric_fields_rejected_at_load(key, value):
+    with pytest.raises(ConfigError, match=key):
+        st.load_tuning_config(_quanser_tuning(**{key: value}))
+
+
+def test_grid_above_cap_rejected_before_any_scan(tmp_path, monkeypatch):
+    # delta_zeta = 1e-12 would be about 4e11 grid points; the config must
+    # fail on the two axis counts alone, before the CLI starts a scan
+    with pytest.raises(ConfigError, match="grid"):
+        st.load_tuning_config(_quanser_tuning(delta_zeta=1e-12))
+    assert 41 * 51 <= st.tuning.MAX_GRID_POINTS
+    scans = []
+    monkeypatch.setattr(smctune.cli, "tune", lambda *args, **kw: scans.append(args))
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_quanser_tuning(delta_zeta=1e-12)))
+    rc = smctune.cli.main(["tune", "--config", "quanser.json", "--tuning", str(path),
+                           "--out", str(tmp_path / "out")])
+    assert rc == 2 and scans == []
+
+
+def test_design_check_rejections_reach_the_scan(quanser, quanser_tuning, monkeypatch):
+    # the batched scan applies the per-design checks to every zero-screen
+    # survivor: with a pole-placement tolerance no spectrum can meet, the
+    # single-design path raises and the scan finds nothing feasible
+    _, modal, plant = quanser
+    monkeypatch.setattr(st.smc, "POLE_PLACEMENT_TOL", -1.0)
+    with pytest.raises(st.NumericalError, match="pole placement"):
+        st.design_sliding_controller(plant, quanser_tuning.poles(0.5, 0.5 * modal.omega0))
+    result = st.tune(plant, modal, quanser_tuning)
+    assert not result.feasible and result.feasible_count == 0
+
+
+def test_empty_zero_screen_is_infeasible(quanser, quanser_tuning):
+    _, modal, plant = quanser
+    config = st.load_tuning_config({**quanser_tuning.to_dict(), "gamma1": 1e9})
+    result = st.tune(plant, modal, config)
+    assert not result.feasible and result.message
