@@ -142,7 +142,7 @@ def lqr_equivalent_polespec(result: LqrResult, omega0: float) -> dict[str, float
     eigs = result.closed_loop_eigs
     complex_eigs = eigs[np.abs(eigs.imag) > 1e-9 * np.abs(eigs)]
     if len(complex_eigs) == 0:
-        raise ValueError("closed-loop spectrum has no complex pair")
+        raise NumericalError("closed-loop spectrum has no complex pair")
     lam = min(complex_eigs, key=lambda v: abs(v.real) / abs(v))
     omega_n = abs(lam)
     return {

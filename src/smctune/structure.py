@@ -59,11 +59,16 @@ class RayleighSpec:
     def __post_init__(self):
         if len(self.pairs) not in (1, 2):
             raise ConfigError("Rayleigh damping needs one or two (mode, ratio) pairs")
+        pairs = []
         for mode, ratio in self.pairs:
+            mode = finite_number("Rayleigh mode index", mode)
+            ratio = finite_number("Rayleigh damping ratio", ratio)
             if int(mode) != mode or mode < 1:
                 raise ConfigError(f"mode index must be a positive integer, got {mode}")
             if not 0.0 < ratio < 1.0:
                 raise ConfigError(f"damping ratio must lie in (0, 1), got {ratio}")
+            pairs.append((int(mode), ratio))
+        object.__setattr__(self, "pairs", tuple(pairs))
 
 
 @dataclass(frozen=True)
@@ -91,6 +96,8 @@ class AtmdParams:
     mu_d: float = 0.0  # Coulomb friction level, N
 
     def __post_init__(self):
+        for name in ("m_d", "k_d", "c_d", "mu_d"):
+            object.__setattr__(self, name, finite_number(name, getattr(self, name)))
         if self.m_d <= 0:
             raise ConfigError(f"damper mass must be positive, got {self.m_d}")
         for name in ("k_d", "c_d", "mu_d"):
@@ -167,6 +174,8 @@ def build_shear_building(masses, stiffnesses, damping) -> BuildingModel:
     n = len(m)
     if n < 1:
         raise ConfigError("need at least one story")
+    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(k))):
+        raise ConfigError("masses and stiffnesses must be finite")
     if np.any(m <= 0) or np.any(k <= 0):
         raise ConfigError("all masses and stiffnesses must be positive")
 
@@ -183,6 +192,8 @@ def build_shear_building(masses, stiffnesses, damping) -> BuildingModel:
         C = np.asarray(damping, dtype=float)
         if C.shape != (n, n):
             raise ConfigError(f"damping matrix must be {n}x{n}, got {C.shape}")
+        if not np.all(np.isfinite(C)):
+            raise ConfigError("damping matrix must be finite")
         scale = max(1.0, float(np.abs(C).max()))
         if np.abs(C - C.T).max() > 1e-9 * scale:
             raise ConfigError("damping matrix must be symmetric")
@@ -329,9 +340,15 @@ def assemble_plant(modal: ModalModel, atmd: AtmdParams, bounds: ExcitationBounds
 
 
 def _require(cfg: dict, key: str, context: str):
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{context} must be an object")
     if key not in cfg:
         raise ConfigError(f"missing key '{key}' in {context}")
     return cfg[key]
+
+
+def _number(cfg: dict, key: str, context: str) -> float:
+    return finite_number(f"{context} {key}", _require(cfg, key, context))
 
 
 def load_building_config(source) -> BuildingSetup:
@@ -369,40 +386,46 @@ def load_building_config(source) -> BuildingSetup:
     floors = _require(cfg, "floors", context)
     if not isinstance(floors, list) or not floors:
         raise ConfigError(f"{context}: 'floors' must be a non-empty list")
-    try:
-        masses = [float(f["mass"]) for f in floors]
-        stiffnesses = [float(f["stiffness"]) for f in floors]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"{context}: each floor needs numeric 'mass' and 'stiffness'") from exc
+    masses = [_number(f, "mass", f"{context} floor {i + 1}") for i, f in enumerate(floors)]
+    stiffnesses = [_number(f, "stiffness", f"{context} floor {i + 1}")
+                   for i, f in enumerate(floors)]
 
     damping_cfg = _require(cfg, "damping", context)
+    if not isinstance(damping_cfg, dict):
+        raise ConfigError(f"{context} damping must be an object")
     if "rayleigh" in damping_cfg:
         ray = damping_cfg["rayleigh"]
         modes = _require(ray, "modes", f"{context} damping.rayleigh")
         ratios = _require(ray, "ratios", f"{context} damping.rayleigh")
-        if len(modes) != len(ratios):
-            raise ConfigError(f"{context}: rayleigh modes and ratios must pair up")
-        damping = RayleighSpec(tuple((int(m), float(z)) for m, z in zip(modes, ratios)))
+        if not (isinstance(modes, list) and isinstance(ratios, list)
+                and len(modes) == len(ratios)):
+            raise ConfigError(f"{context}: rayleigh modes and ratios must be lists that pair up")
+        damping = RayleighSpec(tuple(zip(modes, ratios)))
     elif "matrix" in damping_cfg:
-        damping = np.asarray(damping_cfg["matrix"], dtype=float)
+        rows = damping_cfg["matrix"]
+        if not (isinstance(rows, list)
+                and all(isinstance(row, list) and len(row) == len(rows) for row in rows)):
+            raise ConfigError(f"{context}: damping.matrix must be a square list of rows")
+        damping = np.array([[finite_number(f"{context} damping.matrix entry", c) for c in row]
+                            for row in rows])
     else:
         raise ConfigError(f"{context}: damping needs either 'rayleigh' or 'matrix'")
 
     atmd_cfg = _require(cfg, "atmd", context)
     atmd = AtmdParams(
-        m_d=float(_require(atmd_cfg, "mass", f"{context} atmd")),
-        k_d=float(_require(atmd_cfg, "stiffness", f"{context} atmd")),
-        c_d=float(_require(atmd_cfg, "damping", f"{context} atmd")),
-        mu_d=float(atmd_cfg.get("coulomb", 0.0)),
+        m_d=_number(atmd_cfg, "mass", f"{context} atmd"),
+        k_d=_number(atmd_cfg, "stiffness", f"{context} atmd"),
+        c_d=_number(atmd_cfg, "damping", f"{context} atmd"),
+        mu_d=finite_number(f"{context} atmd coulomb", atmd_cfg.get("coulomb", 0.0)),
     )
     bounds_cfg = _require(cfg, "bounds", context)
     bounds = ExcitationBounds(
-        delta=float(_require(bounds_cfg, "delta", f"{context} bounds")),
-        varpi=float(_require(bounds_cfg, "varpi", f"{context} bounds")),
+        delta=_number(bounds_cfg, "delta", f"{context} bounds"),
+        varpi=_number(bounds_cfg, "varpi", f"{context} bounds"),
     )
     participation = cfg.get("participation_factor")
     if participation is not None:
-        participation = float(participation)
+        participation = finite_number(f"{context} participation_factor", participation)
 
     building = build_shear_building(masses, stiffnesses, damping)
     return BuildingSetup(building=building, atmd=atmd, bounds=bounds,

@@ -14,6 +14,7 @@ import pytest
 from scipy.integrate import quad
 
 import smctune as st
+from smctune.errors import ConfigError, NumericalError
 from smctune.fixtures import fixture_path
 
 
@@ -198,3 +199,76 @@ def scalar_path_mismatches(result: st.TuningResult, plant: st.PlantStateSpace) -
 def make_random_poles(rng: np.random.Generator) -> st.PoleSpec:
     return st.PoleSpec(zeta=rng.uniform(0.2, 0.95), omega_n=rng.uniform(1.0, 10.0),
                        lambda3=-rng.uniform(1.0, 8.0), lambda4=-rng.uniform(5.0, 30.0))
+
+
+def reference_rk4(plant: st.PlantStateSpace, controller, quake: st.Accelerogram, t_end: float,
+                  mu_d: float = 0.0, dt: float | None = None, z0=None) -> st.SimulationTrace:
+    """The numpy RK4 loop that ``simulate`` replaced, kept as its oracle.
+
+    Same integration scheme, but on length-4 arrays with BLAS matvecs and the
+    controller's own ``force``/``sigma`` per step.
+    """
+    dt = quake.dt if dt is None else float(dt)
+    if dt <= 0:
+        raise ConfigError("dt must be positive")
+    if t_end <= 0:
+        raise ConfigError("t_end must be positive")
+    if t_end > quake.duration + 1e-12:
+        raise ConfigError(f"t_end={t_end} s exceeds the record length {quake.duration} s")
+    if mu_d < 0:
+        raise ConfigError("mu_d must be non-negative")
+    n = int(round(t_end / dt))
+
+    # excitation on the half-step grid: index 2i is t_i, 2i+1 is t_i + dt/2
+    t_half = 0.5 * dt * np.arange(2 * n + 1)
+    xg_half = np.interp(t_half, quake.time(), quake.samples)
+
+    A, B, D = plant.A, plant.B, plant.D
+    z = np.zeros(4) if z0 is None else np.asarray(z0, dtype=float).copy()
+    if z.shape != (4,):
+        raise ConfigError("z0 must have 4 entries")
+
+    is_smc = isinstance(controller, st.SmcControl)
+    Z = np.empty((n + 1, 4))
+    U = np.empty(n + 1)
+    S = np.zeros(n + 1)
+    Z[0] = z
+    if is_smc:
+        S[0] = controller.sigma(z)
+
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
+        for i in range(n):
+            u = controller.force(z)
+            U[i] = u
+            xg0, xgm, xg1 = xg_half[2 * i], xg_half[2 * i + 1], xg_half[2 * i + 2]
+
+            def rate(zz, xg_val):
+                return A @ zz + B * (u - mu_d * np.sign(zz[2])) + D * xg_val
+
+            k1 = rate(z, xg0)
+            k2 = rate(z + half * k1, xgm)
+            k3 = rate(z + half * k2, xgm)
+            k4 = rate(z + dt * k3, xg1)
+            z = z + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            if not np.all(np.isfinite(z)):
+                raise NumericalError(f"state diverged at t={(i + 1) * dt:.4f} s "
+                                     f"(controller={controller.label})")
+            Z[i + 1] = z
+            if is_smc:
+                S[i + 1] = controller.sigma(z)
+        U[n] = controller.force(z)
+
+    return st.SimulationTrace(t=dt * np.arange(n + 1), z=Z, u=U, sigma=S,
+                              xg=xg_half[::2], label=controller.label)
+
+
+def reference_trace_csv(trace: st.SimulationTrace, path) -> None:
+    """The per-cell ``write_trace_csv`` that the blocked writer replaced."""
+    with open(path, "w", newline="") as fh:
+        fh.write("t,z1,z2,z3,z4,u,sigma,xg_dd\n")
+        for i in range(len(trace.t)):
+            row = (trace.t[i], trace.z[i, 0], trace.z[i, 1], trace.z[i, 2],
+                   trace.z[i, 3], trace.u[i], trace.sigma[i], trace.xg[i])
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")

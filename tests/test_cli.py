@@ -164,3 +164,62 @@ def test_building_nan_delta_exits_2(tmp_path):
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(raw))
     assert main(["model", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_simulate_is_byte_identical_across_runs(tmp_path):
+    args = ["simulate", "--config", "quanser.json", "--quake", "synthetic_quake.csv",
+            "--pga", "3.0", "--controller", "smc", "--tuning", "quanser_tuning.json",
+            "--t-end", "5"]
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(args + ["--out", str(out1)]) == 0
+    assert main(args + ["--out", str(out2)]) == 0
+    for name in ("trace.csv", "summary.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("t_end", ["nan", "inf"])
+def test_simulate_non_finite_t_end_exits_2(tmp_path, capsys, t_end):
+    rc = main(["simulate", "--config", "quanser.json", "--quake", "synthetic_quake.csv",
+               "--controller", "passive", "--t-end", t_end, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "t_end" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("fixture, path, value, message", [
+    ("quanser.json", ("floors", 0, "mass"), "1.84", "floor 1 mass must be a number"),
+    ("quanser.json", ("floors", 0, "stiffness"), float("inf"), "floor 1 stiffness must be finite"),
+    ("quanser.json", ("atmd", "coulomb"), float("nan"), "atmd coulomb must be finite"),
+    ("quanser.json", ("atmd", "mass"), float("-inf"), "atmd mass must be finite"),
+    ("quanser.json", ("bounds", "varpi"), "0.5", "bounds varpi must be a number"),
+    ("quanser.json", ("damping", "matrix", 0, 0), float("nan"), "damping.matrix entry"),
+    ("five_story.json", ("damping", "rayleigh", "ratios", 1), "0.01", "damping ratio"),
+    ("five_story.json", ("participation_factor",), float("nan"), "participation_factor"),
+])
+def test_building_non_finite_or_string_field_exits_2(tmp_path, capsys, fixture, path, value,
+                                                     message):
+    from smctune.fixtures import fixture_path
+    raw = json.loads(fixture_path(fixture).read_text())
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    config = tmp_path / "building.json"
+    config.write_text(json.dumps(raw))
+    rc = main(["simulate", "--config", str(config), "--quake", "synthetic_quake.csv",
+               "--controller", "passive", "--t-end", "1", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_lqr_without_complex_pair_exits_4(tmp_path, capsys):
+    # these weights give Quanser a closed loop with four real poles
+    maxima = tmp_path / "maxima.json"
+    maxima.write_text(json.dumps({"z1_max": 1.0, "z2_max": 0.001, "z3_max": 0.3,
+                                  "z4_max": 0.01, "u_max": 1.0}))
+    rc = main(["lqr", "--config", "quanser.json", "--maxima", str(maxima),
+               "--out", str(tmp_path / "out")])
+    assert rc == 4
+    assert "no complex pair" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "lqr.json").exists()

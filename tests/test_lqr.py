@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import smctune as st
-from smctune.errors import ConfigError
+from smctune.errors import ConfigError, NumericalError
 from conftest import make_random_plant
 
 PRINTED_GAIN = np.array([200.0, -1276.5, 49.0, 17.32])
@@ -116,5 +116,5 @@ def test_equivalent_polespec_requires_complex_pair():
                           closed_loop_eigs=np.array([-1.0, -2.0, -3.0, -4.0],
                                                     dtype=complex),
                           residual=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalError, match="no complex pair"):
         st.lqr_equivalent_polespec(result, omega0=1.0)

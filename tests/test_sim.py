@@ -5,6 +5,7 @@ import pytest
 import smctune as st
 from smctune.errors import ConfigError, NumericalError
 from smctune.fixtures import fixture_path
+from conftest import reference_rk4, reference_trace_csv
 
 
 def _write(path, text):
@@ -200,3 +201,95 @@ def test_smc_controller_requires_gain(five_story):
         plant, st.PoleSpec(zeta=0.5, omega_n=0.5 * modal.omega0))
     with pytest.raises(ConfigError):
         st.SmcControl(design)
+
+
+def _controller(kind, plant, tuned):
+    if kind == "passive":
+        return st.PassiveControl()
+    if kind == "smc":
+        return st.SmcControl(tuned.result.design)
+    maxima = st.MaxValues(z1=0.05, z2=0.01, z3=0.32, z4=0.1, u=10.0)
+    return st.LqrControl(st.solve_lqr(plant, st.bryson_weights(maxima)).k_gain)
+
+
+@pytest.mark.parametrize("building", ["five_story", "quanser"])
+@pytest.mark.parametrize("kind", ["passive", "smc", "lqr"])
+def test_kernel_matches_numpy_reference(request, building, kind):
+    setup, _, plant = request.getfixturevalue(building)
+    tuned = request.getfixturevalue({"five_story": "tune_five_jz2",
+                                     "quanser": "tune_quanser_jz2"}[building])
+    controller = _controller(kind, plant, tuned)
+    quake = st.load_accelerogram(fixture_path("synthetic_quake.csv"),
+                                 scale=plant.bounds.delta, scale_mode="pga")
+    mu = setup.atmd.mu_d
+    assert mu > 0.0
+    trace = st.simulate(plant, controller, quake, 6.0, mu_d=mu)
+    oracle = reference_rk4(plant, controller, quake, 6.0, mu_d=mu)
+    assert np.any(np.diff(np.sign(oracle.z[:, 2])) != 0)  # the friction switches
+    assert np.array_equal(trace.t, oracle.t) and np.array_equal(trace.xg, oracle.xg)
+    for new, old in [*zip(trace.z.T, oracle.z.T), (trace.u, oracle.u),
+                     (trace.sigma, oracle.sigma)]:
+        assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
+    # the kernel applies exactly the controller's public law
+    assert [controller.force(z) for z in trace.z] == trace.u.tolist()
+    if kind == "smc":
+        assert [controller.sigma(z) for z in trace.z] == trace.sigma.tolist()
+    else:
+        assert not np.any(trace.sigma)
+
+
+def test_unknown_controller_type_rejected(five_story, tune_five_jz2, quake):
+    _, _, plant = five_story
+
+    class Custom:
+        label = "custom"
+
+        def force(self, z):
+            return 0.0
+
+    for controller in (Custom(), tune_five_jz2.result.design):
+        with pytest.raises(ConfigError, match="unknown controller type"):
+            st.simulate(plant, controller, quake, 1.0)
+    with pytest.raises(ConfigError):
+        st.LqrControl(np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(ConfigError):
+        st.LqrControl(np.array([1.0, 2.0, float("nan"), 3.0]))
+
+
+@pytest.mark.parametrize("kwargs", [{"dt": float("nan")}, {"dt": float("inf")},
+                                    {"t_end": float("nan")}, {"t_end": float("inf")},
+                                    {"mu_d": float("nan")}, {"mu_d": float("inf")},
+                                    {"dt": "0.001"}, {"z0": [0.0, float("nan"), 0.0, 0.0]}])
+def test_non_finite_simulation_inputs_rejected(five_story, quake, kwargs):
+    _, _, plant = five_story
+    kwargs = {"t_end": 1.0, **kwargs}
+    with pytest.raises(ConfigError):
+        st.simulate(plant, st.PassiveControl(), quake, **kwargs)
+
+
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), "0.01", True])
+def test_accelerogram_interval_must_be_a_finite_number(dt):
+    with pytest.raises(ConfigError):
+        st.Accelerogram(dt=dt, samples=np.zeros(3))
+
+
+def test_load_accelerogram_rejects_non_finite_scale():
+    for kwargs in ({"scale": float("nan")}, {"resample_dt": float("nan")}):
+        with pytest.raises(ConfigError):
+            st.load_accelerogram(fixture_path("synthetic_quake.csv"), **kwargs)
+
+
+def test_trace_csv_matches_per_cell_writer(tmp_path):
+    rng = np.random.default_rng(11)
+    n = 2 * st.sim.CSV_BLOCK_ROWS + 3  # crosses two block boundaries
+    columns = rng.normal(scale=10.0, size=(n, 8)) * 10.0 ** rng.integers(-300, 300, size=(n, 8))
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 3.0, -7.0, 1e16, 0.1, 2.5e-8]
+    columns[:len(special), :] = np.array(special)[:, None]
+    columns[-len(special):, :] = np.array(special)[::-1, None]
+    columns[::7, 5] = np.round(columns[::7, 5])  # integers stored as floats
+    trace = st.SimulationTrace(t=columns[:, 0], z=columns[:, 1:5], u=columns[:, 5],
+                               sigma=columns[:, 6], xg=columns[:, 7])
+    st.write_trace_csv(trace, tmp_path / "new.csv")
+    reference_trace_csv(trace, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert "-0.0," in (tmp_path / "new.csv").read_text()

@@ -1,9 +1,12 @@
 """Shear-building assembly, Rayleigh damping, modal reduction, plant assembly."""
+import json
+
 import numpy as np
 import pytest
 
 import smctune as st
 from smctune.errors import ConfigError, NumericalError
+from smctune.fixtures import fixture_path
 
 
 def test_five_story_stiffness_assembly(five_story_setup):
@@ -220,3 +223,31 @@ def test_load_building_config_validation(tmp_path):
 def test_excitation_bounds_must_be_finite(delta, varpi):
     with pytest.raises(ConfigError):
         st.ExcitationBounds(delta, varpi)
+
+
+@pytest.mark.parametrize("field", ["m_d", "k_d", "c_d", "mu_d"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "1.0"])
+def test_atmd_params_must_be_finite_numbers(field, value):
+    kwargs = {"m_d": 1.0, "k_d": 1.0, "c_d": 1.0, "mu_d": 0.1, field: value}
+    with pytest.raises(ConfigError, match=field):
+        st.AtmdParams(**kwargs)
+
+
+def test_building_arrays_must_be_finite():
+    with pytest.raises(ConfigError, match="finite"):
+        st.build_shear_building([1.0, float("nan")], [1.0, 1.0], np.zeros((2, 2)))
+    with pytest.raises(ConfigError, match="finite"):
+        st.build_shear_building([1.0], [1.0], np.array([[float("inf")]]))
+
+
+def test_load_building_config_shape_errors():
+    raw = json.loads(fixture_path("quanser.json").read_text())
+    for damping in ({"matrix": [[0.1], [0.1, 0.2]]}, {"matrix": 0.16}, [0.16],
+                    {"rayleigh": {"modes": [1.5], "ratios": [0.01]}},
+                    {"rayleigh": {"modes": 1, "ratios": 0.01}}):
+        with pytest.raises(ConfigError):
+            st.load_building_config({**raw, "damping": damping})
+    with pytest.raises(ConfigError, match="atmd must be an object"):
+        st.load_building_config({**raw, "atmd": 0.79})
+    with pytest.raises(ConfigError, match="floor 1 must be an object"):
+        st.load_building_config({**raw, "floors": [1.84]})
