@@ -5,19 +5,17 @@ simulator."""
 
 from .errors import (ConfigError, InfeasibleDesignError, InfeasibleTuningError,
                      NumericalError)
-from .freqresp import (DEFAULT_BAND, DEFAULT_SAMPLES, BandMetrics, RationalTf,
-                       TransferFunctions, band_metrics, band_peak, band_rms,
-                       build_transfer_functions, dump_frequency_response,
-                       frequency_grid, transfer_zeros)
+from .freqresp import (DEFAULT_BAND, DEFAULT_SAMPLES, RationalTf, TransferFunctions,
+                       band_peak, band_rms, build_transfer_functions,
+                       dump_frequency_response, frequency_grid, transfer_zeros)
 from .lqr import (LqrResult, LqrSpec, MaxValues, bryson_weights,
                   lqr_equivalent_polespec, solve_lqr, solve_riccati)
 from .sim import (Accelerogram, LqrControl, PassiveControl, ReachingReport,
                   SimulationTrace, SmcControl, load_accelerogram,
                   mechanical_energy, reaching_check, simulate, summarize,
                   synthetic_accelerogram, write_trace_csv)
-from .smc import (PoleSpec, ReducedDynamics, SlidingDesign, ackermann_gain,
-                  control_force, design_sliding_controller, reduced_dynamics,
-                  sliding_vector, switching_gain)
+from .smc import (PoleSpec, SlidingDesign, ackermann_gain, control_force,
+                  design_sliding_controller, switching_gain)
 from .structure import (AtmdParams, BuildingModel, BuildingSetup,
                         ExcitationBounds, ModalModel, PlantStateSpace,
                         RayleighSpec, assemble_plant, build_shear_building,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +89,7 @@ def cmd_model(args) -> int:
 def _tuning_config(args):
     config = load_tuning_config(_resolve(args.tuning))
     if getattr(args, "index", None):
-        config = load_tuning_config({**config.to_dict(), "index": args.index})
+        config = replace(config, index=args.index)
     return config
 
 
@@ -118,9 +119,8 @@ def cmd_tune(args) -> int:
 def _load_maxima(path: Path) -> MaxValues:
     try:
         raw = json.loads(path.read_text())
-        return MaxValues(z1=float(raw["z1_max"]), z2=float(raw["z2_max"]),
-                         z3=float(raw["z3_max"]), z4=float(raw["z4_max"]),
-                         u=float(raw["u_max"]))
+        return MaxValues(z1=raw["z1_max"], z2=raw["z2_max"], z3=raw["z3_max"],
+                         z4=raw["z4_max"], u=raw["u_max"])
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except (KeyError, TypeError) as exc:
@@ -185,7 +185,7 @@ def _window_from_args(args):
 
 
 def _smc_controller(plant, modal, config, index):
-    result = tune(plant, modal, load_tuning_config({**config.to_dict(), "index": index}))
+    result = tune(plant, modal, replace(config, index=index))
     if not result.feasible:
         raise InfeasibleTuningError(result.message)
     return SmcControl(result.design, label=f"smc-{index}"), result

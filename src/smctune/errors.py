@@ -4,6 +4,9 @@ from __future__ import annotations
 import math
 from numbers import Real
 
+__all__ = ["ConfigError", "NumericalError", "InfeasibleDesignError", "InfeasibleTuningError",
+           "finite_number"]
+
 
 class ConfigError(ValueError):
     """Invalid input data or configuration (bad JSON, missing keys, out-of-range values)."""

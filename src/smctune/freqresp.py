@@ -22,7 +22,6 @@ __all__ = [
     "RationalTf",
     "TransferFunctions",
     "TransferBatch",
-    "BandMetrics",
     "zero_rows",
     "transfer_zeros",
     "transfer_batch",
@@ -31,7 +30,6 @@ __all__ = [
     "band_table",
     "band_rms",
     "band_peak",
-    "band_metrics",
     "dump_frequency_response",
 ]
 
@@ -78,19 +76,6 @@ class TransferFunctions:
 
     def as_dict(self) -> dict[str, RationalTf]:
         return {"1": self.g1, "2": self.g2, "3": self.g3, "u": self.gu}
-
-
-@dataclass(frozen=True)
-class BandMetrics:
-    """Band-limited RMS magnitudes and the control-force peak."""
-
-    kappa1: float    # m
-    kappa2: float    # m
-    kappa3: float    # m/s
-    kappa_u: float   # N
-    chi: float       # N
-    band: tuple[float, float]
-    n_samples: int
 
 
 def zero_rows(eta: np.ndarray):
@@ -283,26 +268,6 @@ def band_peak(tf: RationalTf, delta: float, band=DEFAULT_BAND,
               n_samples: int = DEFAULT_SAMPLES) -> float:
     """Maximum of |delta * tf(j omega)| over the same grid band_rms uses."""
     return float(np.sqrt(_one_channel(tf, delta, band, n_samples).max(axis=-1))[0])
-
-
-def band_metrics(tfs: TransferFunctions, delta: float, band=DEFAULT_BAND,
-                 n_samples: int = DEFAULT_SAMPLES) -> BandMetrics:
-    """kappa_i for all four responses plus the force peak chi, one shared grid."""
-    channels = (tfs.g1, tfs.g2, tfs.g3, tfs.gu)
-    den = np.asarray(tfs.gu.den, dtype=float)
-    if any(not np.array_equal(tf.den, den) for tf in channels):
-        raise ConfigError("band_metrics needs four responses with one common denominator")
-    batch = TransferBatch(den=den[None],
-                          nums=tuple(np.asarray(tf.num, dtype=float)[None] for tf in channels),
-                          gains=tuple(np.array([tf.gain], dtype=float) for tf in channels),
-                          psi1=np.array([tfs.psi1]), psi2=np.array([tfs.psi2]))
-    (kappa,), (chi,) = band_table(batch, delta, band, n_samples)
-    return BandMetrics(
-        kappa1=float(kappa[0]), kappa2=float(kappa[1]), kappa3=float(kappa[2]),
-        kappa_u=float(kappa[3]), chi=float(chi),
-        band=(float(band[0]), float(band[1])),
-        n_samples=int(n_samples),
-    )
 
 
 def dump_frequency_response(tfs: TransferFunctions, delta: float, path,

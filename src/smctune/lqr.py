@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, finite_number
 from .structure import PlantStateSpace
 
 __all__ = [
@@ -41,8 +41,10 @@ class MaxValues:
 
     def __post_init__(self):
         for name in ("z1", "z2", "z3", "z4", "u"):
-            if getattr(self, name) <= 0:
+            value = finite_number(f"maximum for {name}", getattr(self, name))
+            if value <= 0:
                 raise ConfigError(f"maximum for {name} must be positive")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

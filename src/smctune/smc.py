@@ -21,21 +21,20 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, finite_number
 from .structure import PlantStateSpace, controllability_matrix
 
 __all__ = [
     "PoleSpec",
-    "ReducedDynamics",
     "SlidingDesign",
     "DesignBatch",
+    "real_poles",
+    "dominant_pair",
     "ackermann_rows",
     "sliding_polynomial",
     "sliding_vectors",
     "design_batch",
     "ackermann_gain",
-    "sliding_vector",
-    "reduced_dynamics",
     "switching_gain",
     "control_force",
     "design_sliding_controller",
@@ -51,6 +50,8 @@ ETA_B_TOL = 1e-9
 BLOCK_TOL = 1e-6
 #: lambda3 = -LAMBDA3_FACTOR * zeta * omega_n unless given
 LAMBDA3_FACTOR = 3.0
+#: lambda4 = -LAMBDA4_FACTOR * zeta * omega_n unless given
+LAMBDA4_FACTOR = 10.0
 
 #: why a row of a DesignBatch was rejected, indexed by DesignBatch.reject
 #: (0 means accepted); the checks run in this order
@@ -80,28 +81,33 @@ class PoleSpec:
     lambda4: float = None
 
     def __post_init__(self):
-        if not 0.0 < self.zeta < 1.0:
-            raise ConfigError(f"zeta must lie in (0, 1), got {self.zeta}")
-        if self.omega_n <= 0.0:
-            raise ConfigError(f"omega_n must be positive, got {self.omega_n}")
-        if self.lambda3 is None:
-            object.__setattr__(self, "lambda3", -LAMBDA3_FACTOR * self.zeta * self.omega_n)
-        if self.lambda4 is None:
-            object.__setattr__(self, "lambda4", -10.0 * self.zeta * self.omega_n)
-        if self.lambda3 >= 0.0 or self.lambda4 >= 0.0:
+        zeta, omega_n = finite_number("zeta", self.zeta), finite_number("omega_n", self.omega_n)
+        if not 0.0 < zeta < 1.0:
+            raise ConfigError(f"zeta must lie in (0, 1), got {zeta}")
+        if omega_n <= 0.0:
+            raise ConfigError(f"omega_n must be positive, got {omega_n}")
+        lambda3, lambda4 = real_poles(zeta, omega_n)
+        if self.lambda3 is not None:
+            lambda3 = finite_number("lambda3", self.lambda3)
+        if self.lambda4 is not None:
+            lambda4 = finite_number("lambda4", self.lambda4)
+        if lambda3 >= 0.0 or lambda4 >= 0.0:
             raise ConfigError("lambda3 and lambda4 must be real and negative")
+        for name, value in (("zeta", zeta), ("omega_n", omega_n),
+                            ("lambda3", lambda3), ("lambda4", lambda4)):
+            object.__setattr__(self, name, value)
 
     @property
     def omega_d(self) -> float:
-        return self.omega_n * np.sqrt(1.0 - self.zeta ** 2)
+        return self.lambda2.imag
 
     @property
     def lambda1(self) -> complex:
-        return complex(-self.zeta * self.omega_n, -self.omega_d)
+        return complex(dominant_pair(self.zeta, self.omega_n)[0])
 
     @property
     def lambda2(self) -> complex:
-        return complex(-self.zeta * self.omega_n, +self.omega_d)
+        return complex(dominant_pair(self.zeta, self.omega_n)[1])
 
     def sliding_poles(self) -> tuple[complex, complex, float]:
         return (self.lambda1, self.lambda2, self.lambda3)
@@ -111,19 +117,8 @@ class PoleSpec:
 
 
 @dataclass(frozen=True)
-class ReducedDynamics:
-    """Third-order sliding dynamics and the control-reconstruction vector."""
-
-    A1: np.ndarray      # 3x3, eigenvalues lambda1..lambda3
-    B1: np.ndarray      # 3-vector excitation gain
-    alpha1: float       # excitation feedthrough onto sigma-dot
-    alpha2: float       # excitation gain of the reduced third state
-    nu1: np.ndarray     # 3-vector reconstructing u from z* in the sliding mode
-
-
-@dataclass(frozen=True)
 class SlidingDesign:
-    """Everything the controller needs: sliding vector, gain, reduced model."""
+    """One sliding design, a row of a DesignBatch: sliding vector, gain, reduced model."""
 
     poles: PoleSpec
     eta: np.ndarray
@@ -135,15 +130,6 @@ class SlidingDesign:
     nu1: np.ndarray
     epsilon: float = 0.05
     M0: float | None = None
-
-    def sigma(self, z) -> float:
-        """Sliding variable eta.z."""
-        return float(self.eta @ np.asarray(z, dtype=float))
-
-    def force(self, z) -> float:
-        if self.M0 is None:
-            raise ConfigError("design has no switching gain yet; set M0 first")
-        return control_force(self.sigma(z), self.M0, self.epsilon)
 
     def with_switching_gain(self, M0: float) -> "SlidingDesign":
         return replace(self, M0=float(M0))
@@ -221,6 +207,26 @@ class DesignBatch:
             alpha1=float(self.alpha1[i]), alpha2=float(self.alpha2[i]),
             A1=self.A1[i].copy(), B1=self.B1[i].copy(), nu1=self.nu1[i].copy(),
             epsilon=epsilon)
+
+
+def real_poles(zeta, omega_n, lambda4_factor: float = LAMBDA4_FACTOR):
+    """(lambda3, lambda4) of a grid point, for scalars or arrays alike.
+
+    lambda3 = -LAMBDA3_FACTOR zeta omega_n and lambda4 = -lambda4_factor
+    zeta omega_n: the one rule by which a (zeta, omega_n) point gets its real
+    poles, in PoleSpec's defaults, TuningConfig.poles and the scan.
+    """
+    return -LAMBDA3_FACTOR * zeta * omega_n, -lambda4_factor * zeta * omega_n
+
+
+def dominant_pair(zeta, omega_n):
+    """(lambda1, lambda2) = -zeta omega_n -/+ j omega_n sqrt(1 - zeta^2).
+
+    Scalars or arrays; either way the same elementwise operations, so a
+    scan row and a PoleSpec of the same point agree bit for bit.
+    """
+    real, imag = -zeta * omega_n, omega_n * np.sqrt(1.0 - zeta * zeta)
+    return real - 1j * imag, real + 1j * imag
 
 
 def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -385,8 +391,7 @@ def design_batch(plant: PlantStateSpace, zeta, omega_n, lambda3, lambda4,
     k_gain = _apply(rows, full)
 
     closed = _closed_loop(plant, k_gain)
-    real, imag = -zeta * omega_n, omega_n * np.sqrt(1.0 - zeta * zeta)
-    wanted = np.stack([real - 1j * imag, real + 1j * imag, lambda3, lambda4], axis=-1)
+    wanted = np.stack([*dominant_pair(zeta, omega_n), lambda3, lambda4], axis=-1)
     A1, B1, alpha1, alpha2, nu1, singular, inconsistent = _reduce(plant, eta, closed, lambda4)
 
     checks = (np.abs(rowdot(eta, plant.B) - 1.0) > ETA_B_TOL,
@@ -417,33 +422,6 @@ def ackermann_gain(plant: PlantStateSpace, poles) -> np.ndarray:
         raise NumericalError(f"pole placement failed for {wanted[0]} "
                              f"(relative error {err:.3e})")
     return k[0]
-
-
-def sliding_vector(plant: PlantStateSpace, lambda1, lambda2, lambda3) -> np.ndarray:
-    """Sliding vector eta = e.P1(A) for the three sliding-mode poles.
-
-    By construction eta.B = 1; this identity is verified to ETA_B_TOL.
-    """
-    eta = _apply(ackermann_rows(plant), _real_polynomial([lambda1, lambda2, lambda3])[None])[0]
-    gain = float(rowdot(eta, plant.B))
-    if abs(gain - 1.0) > ETA_B_TOL:
-        raise NumericalError(f"eta.B = {gain!r} deviates from 1 beyond tolerance")
-    return eta
-
-
-def reduced_dynamics(plant: PlantStateSpace, eta: np.ndarray, k_gain: np.ndarray,
-                     lambda4: float) -> ReducedDynamics:
-    """Sliding-mode dynamics of one design (see ``_reduce``)."""
-    A1, B1, alpha1, alpha2, nu1, singular, inconsistent = _reduce(
-        plant, np.asarray(eta, dtype=float)[None],
-        _closed_loop(plant, np.asarray(k_gain, dtype=float)[None]),
-        np.array([lambda4], dtype=float))
-    if singular[0]:
-        raise NumericalError(REJECT_MESSAGES[3])
-    if inconsistent[0]:
-        raise NumericalError(REJECT_MESSAGES[4])
-    return ReducedDynamics(A1=A1[0], B1=B1[0], alpha1=float(alpha1[0]),
-                           alpha2=float(alpha2[0]), nu1=nu1[0])
 
 
 def switching_gain(chi: float, varpi: float, varsigma: float = 0.5) -> float:

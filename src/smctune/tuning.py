@@ -19,8 +19,9 @@ import numpy as np
 
 from .errors import ConfigError, InfeasibleTuningError, finite_number
 from .freqresp import DEFAULT_BAND, DEFAULT_SAMPLES, band_table, transfer_batch, zero_rows
-from .smc import (LAMBDA3_FACTOR, PoleSpec, SlidingDesign, ackermann_rows, design_batch,
-                  design_sliding_controller, sliding_vectors, switching_gain)
+from .smc import (LAMBDA4_FACTOR, PoleSpec, SlidingDesign, ackermann_rows, design_batch,
+                  design_sliding_controller, dominant_pair, real_poles, sliding_vectors,
+                  switching_gain)
 from .structure import ModalModel, PlantStateSpace
 
 __all__ = [
@@ -96,7 +97,7 @@ class TuningConfig:
     n_samples: int = DEFAULT_SAMPLES
     varsigma: float = 0.5
     epsilon: float = 0.05
-    lambda4_factor: float = 10.0
+    lambda4_factor: float = LAMBDA4_FACTOR
 
     def __post_init__(self):
         if not isinstance(self.kappa_bars, KappaBounds):
@@ -148,9 +149,9 @@ class TuningConfig:
         return _inclusive_grid(self.omega_nl, self.omega_nu, self.delta_omega)
 
     def poles(self, zeta: float, omega_n: float) -> PoleSpec:
-        """Pole layout of one grid point: default lambda3, lambda4 from the factor."""
-        return PoleSpec(zeta=zeta, omega_n=omega_n,
-                        lambda4=-self.lambda4_factor * zeta * omega_n)
+        """Pole layout of one grid point, by the scan's rule (``real_poles``)."""
+        lambda3, lambda4 = real_poles(zeta, omega_n, self.lambda4_factor)
+        return PoleSpec(zeta=zeta, omega_n=omega_n, lambda3=lambda3, lambda4=lambda4)
 
     def to_dict(self) -> dict:
         return {
@@ -277,11 +278,6 @@ class TuningResult:
     def best(self) -> TuningTuple | None:
         return None if self.best_index is None else self.tuples[self.best_index]
 
-    def mesh(self) -> np.ndarray:
-        """(n, 6) array of zeta, omega_ratio, kappa1..kappa_u per feasible point."""
-        return np.array([[t.zeta, t.omega_ratio, t.kappa1, t.kappa2, t.kappa3, t.kappa_u]
-                         for t in self.tuples])
-
     def to_dict(self) -> dict:
         return {
             "config": self.config.to_dict(),
@@ -324,8 +320,7 @@ def tune(plant: PlantStateSpace, modal: ModalModel, config: TuningConfig) -> Tun
     zeta = np.repeat(zetas, len(ratios))          # zeta-major scan order
     ratio = np.tile(ratios, len(zetas))
     omega_n = ratio * omega0
-    lambda3 = -LAMBDA3_FACTOR * zeta * omega_n
-    lambda4 = -config.lambda4_factor * zeta * omega_n
+    lambda3, lambda4 = real_poles(zeta, omega_n, config.lambda4_factor)
 
     rows = ackermann_rows(plant)
     psi1, psi2, defined = zero_rows(sliding_vectors(rows, zeta, omega_n, lambda3))
@@ -344,7 +339,14 @@ def tune(plant: PlantStateSpace, modal: ModalModel, config: TuningConfig) -> Tun
     feasible = np.flatnonzero((kappa[:, 0] <= bars.kappa1) & (kappa[:, 1] <= bars.kappa2)
                               & (kappa[:, 2] <= bars.kappa3)
                               & (kappa[:, 3] + plant.bounds.varpi <= bars.kappa_u))
-    tuples = tuple(_tuning_tuple(config, designs, transfer, ratio, kappa, i) for i in feasible)
+    lambda1, lambda2 = dominant_pair(designs.zeta, designs.omega_n)
+    tuples = tuple(TuningTuple(
+        zeta=float(designs.zeta[i]), omega_n=float(designs.omega_n[i]),
+        omega_ratio=float(ratio[i]), eta=designs.eta[i].copy(),
+        kappa1=float(kappa[i, 0]), kappa2=float(kappa[i, 1]), kappa3=float(kappa[i, 2]),
+        kappa_u=float(kappa[i, 3]), lambda1=complex(lambda1[i]), lambda2=complex(lambda2[i]),
+        lambda3=float(designs.lambda3[i]), psi1=float(transfer.psi1[i]),
+        psi2=float(transfer.psi2[i])) for i in feasible)
     if not tuples:
         return TuningResult(config=config, omega0=omega0, tuples=(),
                             message=INFEASIBLE_MESSAGE)
@@ -358,18 +360,6 @@ def tune(plant: PlantStateSpace, modal: ModalModel, config: TuningConfig) -> Tun
     design = designs.design(row, epsilon=config.epsilon).with_switching_gain(M0)
     return TuningResult(config=config, omega0=omega0, tuples=tuples,
                         best_index=best_index, design=design, chi=chi_best, M0=M0)
-
-
-def _tuning_tuple(config: TuningConfig, designs, transfer, ratio: np.ndarray,
-                  kappa: np.ndarray, i: int) -> TuningTuple:
-    zeta, omega_n = float(designs.zeta[i]), float(designs.omega_n[i])
-    poles = config.poles(zeta, omega_n)
-    k1, k2, k3, ku = (float(k) for k in kappa[i])
-    return TuningTuple(
-        zeta=zeta, omega_n=omega_n, omega_ratio=float(ratio[i]),
-        eta=designs.eta[i].copy(), kappa1=k1, kappa2=k2, kappa3=k3, kappa_u=ku,
-        lambda1=poles.lambda1, lambda2=poles.lambda2, lambda3=poles.lambda3,
-        psi1=float(transfer.psi1[i]), psi2=float(transfer.psi2[i]))
 
 
 def feasible_region(result: TuningResult) -> dict[str, tuple[float, float]]:

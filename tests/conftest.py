@@ -163,17 +163,20 @@ def quad_band_rms(design: st.SlidingDesign, channel: str, delta: float,
 def scalar_path_mismatches(result: st.TuningResult, plant: st.PlantStateSpace) -> list[str]:
     """What of a batched scan differs from the single-design path.
 
-    Every feasible tuple is rebuilt alone through ``design_sliding_controller``,
-    ``transfer_zeros``, ``build_transfer_functions`` and ``band_rms``, and the
-    winner's chi and M0 through ``band_peak`` and ``switching_gain``; any field
-    that is not bit-identical is named in the returned list.
+    Every feasible tuple is rebuilt alone through ``config.poles``,
+    ``design_sliding_controller``, ``transfer_zeros``,
+    ``build_transfer_functions`` and ``band_rms``, and the winner's chi and M0
+    through ``band_peak`` and ``switching_gain``; any field that is not
+    bit-identical is named in the returned list.
     """
     config, delta = result.config, plant.bounds.delta
     band, n = config.band, config.n_samples
     mismatches = []
     for i, t in enumerate(result.tuples):
-        design = st.design_sliding_controller(plant, config.poles(t.zeta, t.omega_n),
-                                              epsilon=config.epsilon)
+        poles = config.poles(t.zeta, t.omega_n)
+        if (t.lambda1, t.lambda2, t.lambda3) != (poles.lambda1, poles.lambda2, poles.lambda3):
+            mismatches.append(f"tuple {i}: lambda1, lambda2, lambda3")
+        design = st.design_sliding_controller(plant, poles, epsilon=config.epsilon)
         if not np.array_equal(design.eta, t.eta):
             mismatches.append(f"tuple {i}: eta")
         if st.transfer_zeros(design.eta) != (t.psi1, t.psi2):

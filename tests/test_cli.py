@@ -223,3 +223,21 @@ def test_lqr_without_complex_pair_exits_4(tmp_path, capsys):
     assert rc == 4
     assert "no complex pair" in capsys.readouterr().err
     assert not (tmp_path / "out" / "lqr.json").exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "abc", True, None])
+@pytest.mark.parametrize("command", ["lqr", "simulate"])
+def test_lqr_maxima_non_finite_or_non_numeric_exits_2(tmp_path, capsys, value, command):
+    from smctune.fixtures import fixture_path
+    raw = json.loads(fixture_path("quanser_lqr_maxima.json").read_text())
+    raw["z1_max"] = value
+    maxima = tmp_path / "maxima.json"
+    maxima.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    argv = {"lqr": ["lqr"],
+            "simulate": ["simulate", "--quake", "synthetic_quake.csv", "--controller", "lqr",
+                         "--t-end", "1"]}[command]
+    rc = main(argv + ["--config", "quanser.json", "--maxima", str(maxima), "--out", str(out)])
+    assert rc == 2
+    assert "z1" in capsys.readouterr().err
+    assert not out.exists()

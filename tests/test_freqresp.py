@@ -168,10 +168,13 @@ def test_band_peak_against_local_refinement(table1_design, five_story):
 
 def test_chi_dominates_kappa_u_on_shared_grid(table1_design, five_story):
     _, _, plant = five_story
+    delta = plant.bounds.delta
     tfs = st.build_transfer_functions(table1_design)
-    metrics = st.band_metrics(tfs, plant.bounds.delta)
-    assert metrics.chi >= metrics.kappa_u
-    assert metrics.kappa_u == st.band_rms(tfs.gu, plant.bounds.delta)
+    batch = st.freqresp.transfer_batch(st.smc.DesignBatch.of(table1_design))
+    (kappa,), (chi,) = st.freqresp.band_table(batch, delta)
+    assert chi >= kappa[3]
+    assert kappa[3] == st.band_rms(tfs.gu, delta)
+    assert chi == st.band_peak(tfs.gu, delta)
 
 
 def test_degenerate_eta_reports_infeasible():

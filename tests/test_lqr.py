@@ -118,3 +118,11 @@ def test_equivalent_polespec_requires_complex_pair():
                           residual=0.0)
     with pytest.raises(NumericalError, match="no complex pair"):
         st.lqr_equivalent_polespec(result, omega0=1.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "abc", "0.05", True, None])
+def test_max_values_reject_non_finite_or_non_numeric(value):
+    # a NaN maximum used to reach the Riccati solver, a string leaked a
+    # ValueError from float(), and True counted as 1.0
+    with pytest.raises(ConfigError, match="z1"):
+        st.MaxValues(z1=value, z2=0.01, z3=0.32, z4=0.1, u=10.0)

@@ -1,4 +1,4 @@
-"""Pole placement, sliding vector identities, reduced dynamics, control law."""
+"""Pole placement, sliding vector identities, sliding dynamics, control law."""
 import numpy as np
 import pytest
 
@@ -47,14 +47,14 @@ def test_ackermann_rejects_unpaired_complex_poles(quanser):
 def test_sliding_vector_five_story(five_story):
     _, modal, plant = five_story
     poles = st.PoleSpec(zeta=0.5, omega_n=0.5 * modal.omega0)
-    eta = st.sliding_vector(plant, *poles.sliding_poles())
+    eta = st.design_sliding_controller(plant, poles).eta
     assert np.allclose(eta, [2.6, -289.2, 0.87, -9.76], rtol=0.02)
 
 
 def test_sliding_vector_experimental(five_story, quanser):
     _, modal, plant = quanser
     poles = st.PoleSpec(zeta=0.5, omega_n=0.5 * modal.omega0)
-    eta = st.sliding_vector(plant, *poles.sliding_poles())
+    eta = st.design_sliding_controller(plant, poles).eta
     assert np.allclose(eta, [1.64, -19.94, 0.49, -0.20], rtol=0.02)
 
 
@@ -64,8 +64,10 @@ def test_eta_identities_random():
     for _ in range(50):
         plant = make_random_plant(rng)
         poles = make_random_poles(rng)
-        eta = st.sliding_vector(plant, *poles.sliding_poles())
-        k = st.ackermann_gain(plant, poles.all_poles())
+        design = st.design_sliding_controller(plant, poles)
+        eta, k = design.eta, design.k_gain
+        k_placed = st.ackermann_gain(plant, poles.all_poles())
+        assert np.linalg.norm(k - k_placed) <= 1e-9 * np.linalg.norm(k_placed)
         assert abs(eta @ plant.B - 1.0) < 1e-9
         closed = plant.A - np.outer(plant.B, k)
         lhs = eta @ closed
@@ -79,13 +81,13 @@ def test_gain_factorization_identity():
     for _ in range(20):
         plant = make_random_plant(rng)
         poles = make_random_poles(rng)
-        eta = st.sliding_vector(plant, *poles.sliding_poles())
-        k = st.ackermann_gain(plant, poles.all_poles())
+        design = st.design_sliding_controller(plant, poles)
+        eta, k = design.eta, design.k_gain
         k_factored = eta @ (plant.A - poles.lambda4 * np.eye(4))
         assert np.linalg.norm(k - k_factored) <= 1e-9 * max(1.0, np.linalg.norm(k))
 
 
-def test_reduced_dynamics_eigenvalues(five_story):
+def test_sliding_dynamics_eigenvalues(five_story):
     _, modal, plant = five_story
     poles = st.PoleSpec(zeta=0.5, omega_n=0.5 * modal.omega0)
     design = st.design_sliding_controller(plant, poles)
@@ -94,7 +96,7 @@ def test_reduced_dynamics_eigenvalues(five_story):
     assert np.linalg.norm(eigs - wanted) / np.linalg.norm(wanted) < 1e-9
 
 
-def test_reduced_dynamics_alpha1_beta0_one(quanser):
+def test_sliding_dynamics_alpha1_beta0_one(quanser):
     # with unit participation the feedthrough collapses to the last weight
     _, modal, plant = quanser
     poles = st.PoleSpec(zeta=0.6, omega_n=0.55 * modal.omega0)
@@ -158,6 +160,25 @@ def test_pole_spec_validation():
     assert spec.lambda3 == pytest.approx(-3.0)
     assert spec.lambda4 == pytest.approx(-10.0)
     assert spec.lambda1 == pytest.approx(np.conj(spec.lambda2))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("zeta", float("nan")), ("omega_n", float("nan")), ("omega_n", float("inf")),
+    ("omega_n", "5"), ("lambda3", float("nan")), ("lambda3", float("-inf")),
+    ("lambda4", float("nan")), ("lambda4", float("-inf")), ("lambda4", True)])
+def test_pole_spec_rejects_non_finite_or_non_numeric(field, value):
+    # a NaN or infinite pole used to pass and make design_sliding_controller
+    # leak numpy's LinAlgError; a string omega_n raised TypeError
+    with pytest.raises(ConfigError, match=field):
+        st.PoleSpec(**{"zeta": 0.5, "omega_n": 5.0, field: value})
+
+
+def test_default_pole_layout_is_the_scan_rule():
+    # PoleSpec's defaults and a default TuningConfig place the real poles alike
+    bars = st.KappaBounds(kappa1=0.2, kappa2=0.01, kappa3=0.7, kappa_u=12.0)
+    spec = st.PoleSpec(zeta=0.55, omega_n=3.7)
+    assert st.TuningConfig(kappa_bars=bars).poles(0.55, 3.7) == spec
+    assert (spec.lambda3, spec.lambda4) == st.smc.real_poles(0.55, 3.7)
 
 
 def test_design_serialization_roundtrip(five_story):

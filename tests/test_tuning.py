@@ -150,9 +150,8 @@ def test_saved_tuples_revalidate_bit_for_bit(five_story, tune_five_jz2):
     result = tune_five_jz2.result
     config = result.config
     for t in result.tuples[:: max(1, len(result.tuples) // 25)]:
-        poles = st.PoleSpec(zeta=t.zeta, omega_n=t.omega_n,
-                            lambda4=-config.lambda4_factor * t.zeta * t.omega_n)
-        design = st.design_sliding_controller(plant, poles, epsilon=config.epsilon)
+        design = st.design_sliding_controller(plant, config.poles(t.zeta, t.omega_n),
+                                              epsilon=config.epsilon)
         assert np.array_equal(design.eta, t.eta)
         psi1, psi2 = st.transfer_zeros(design.eta)
         assert psi1 == t.psi1 and psi2 == t.psi2
