@@ -10,7 +10,7 @@ from .freqresp import (DEFAULT_BAND, DEFAULT_SAMPLES, RationalTf, TransferFuncti
                        dump_frequency_response, frequency_grid, transfer_zeros)
 from .lqr import (LqrResult, LqrSpec, MaxValues, bryson_weights,
                   lqr_equivalent_polespec, solve_lqr, solve_riccati)
-from .sim import (Accelerogram, LqrControl, PassiveControl, ReachingReport,
+from .sim import (Accelerogram, FeedbackLaw, LqrControl, PassiveControl, ReachingReport,
                   SimulationTrace, SmcControl, load_accelerogram,
                   mechanical_energy, reaching_check, simulate, summarize,
                   synthetic_accelerogram, write_trace_csv)
@@ -23,7 +23,6 @@ from .structure import (AtmdParams, BuildingModel, BuildingSetup,
                         load_building_config, modal_reduce, natural_modes,
                         plant_from_setup, rayleigh_damping)
 from .tuning import (KappaBounds, TuningConfig, TuningResult, TuningTuple,
-                     export_mesh, feasible_region, load_tuning_config,
-                     result_from_dict, tune)
+                     export_mesh, feasible_region, load_tuning_config, tune)
 
 __version__ = "0.1.0"

@@ -188,7 +188,12 @@ def _smc_controller(plant, modal, config, index):
     result = tune(plant, modal, replace(config, index=index))
     if not result.feasible:
         raise InfeasibleTuningError(result.message)
-    return SmcControl(result.design, label=f"smc-{index}"), result
+    return SmcControl(result.design, label=f"smc-{index}")
+
+
+def _lqr_controller(plant, maxima_arg):
+    spec = bryson_weights(_load_maxima(_resolve(maxima_arg)))
+    return LqrControl(solve_lqr(plant, spec).k_gain)
 
 
 def cmd_simulate(args) -> int:
@@ -203,12 +208,11 @@ def cmd_simulate(args) -> int:
         if args.tuning is None:
             raise ConfigError("--tuning is required for the smc controller")
         config = _tuning_config(args)
-        controller, _ = _smc_controller(plant, modal, config, config.index)
+        controller = _smc_controller(plant, modal, config, config.index)
     else:
         if args.maxima is None:
             raise ConfigError("--maxima is required for the lqr controller")
-        lqr_result = solve_lqr(plant, bryson_weights(_load_maxima(_resolve(args.maxima))))
-        controller = LqrControl(lqr_result.k_gain)
+        controller = _lqr_controller(plant, args.maxima)
 
     trace = simulate(plant, controller, quake, t_end, mu_d=setup.atmd.mu_d)
     out = Path(args.out)
@@ -232,13 +236,10 @@ def cmd_compare(args) -> int:
     window = _window_from_args(args)
     config = load_tuning_config(_resolve(args.tuning))
 
-    controllers = [PassiveControl()]
-    for index in ("jz2", "ju"):
-        controller, _ = _smc_controller(plant, modal, config, index)
-        controllers.append(controller)
+    controllers = [PassiveControl(), *(_smc_controller(plant, modal, config, index)
+                                       for index in ("jz2", "ju"))]
     if args.maxima is not None:
-        lqr_result = solve_lqr(plant, bryson_weights(_load_maxima(_resolve(args.maxima))))
-        controllers.append(LqrControl(lqr_result.k_gain))
+        controllers.append(_lqr_controller(plant, args.maxima))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -172,15 +172,33 @@ def synthetic_accelerogram(duration: float = 40.0, dt: float = 0.02, seed: int =
 
 @dataclass(frozen=True)
 class FeedbackLaw:
-    """Static state feedback as ``simulate`` runs it.
+    """A controller: static state feedback as ``simulate`` runs it.
 
     s = gain . z, summed as (g0 z0 + g2 z2) + (g1 z1 + g3 z3). Without a
     relay the force is u = -s; with a relay (M0, epsilon) it is the saturated
     relay ``control_force(s, M0, epsilon)`` and s is the sliding variable.
+    The gain must be four finite numbers, and a relay needs finite M0 > 0 and
+    epsilon > 0.
     """
 
     gain: tuple[float, float, float, float]
     relay: tuple[float, float] | None = None
+    label: str = ""
+
+    def __post_init__(self):
+        try:
+            gain = tuple(finite_number("feedback gain entry", g) for g in self.gain)
+        except TypeError:  # not iterable
+            gain = ()
+        if len(gain) != 4:
+            raise ConfigError(f"feedback gain must be 4 finite numbers, got {self.gain!r}")
+        object.__setattr__(self, "gain", gain)
+        if self.relay is not None:
+            M0, epsilon = self.relay
+            relay = (finite_number("relay M0", M0), finite_number("relay epsilon", epsilon))
+            if not (relay[0] > 0.0 and relay[1] > 0.0):
+                raise ConfigError(f"relay needs M0 > 0 and epsilon > 0, got {relay}")
+            object.__setattr__(self, "relay", relay)
 
     def sigma(self, z) -> float:
         g0, g1, g2, g3 = self.gain
@@ -194,62 +212,21 @@ class FeedbackLaw:
         return control_force(s, *self.relay)
 
 
-@dataclass(frozen=True)
-class PassiveControl:
-    """Mass damper with the actuator off (plain TMD)."""
-
-    label: str = "passive"
-
-    @property
-    def law(self) -> FeedbackLaw:
-        return FeedbackLaw((0.0, 0.0, 0.0, 0.0))
-
-    def force(self, z) -> float:
-        return self.law.force(z)
+def PassiveControl(label: str = "passive") -> FeedbackLaw:
+    """Mass damper with the actuator off (plain TMD): gain zero, u = 0."""
+    return FeedbackLaw((0.0, 0.0, 0.0, 0.0), label=label)
 
 
-@dataclass(frozen=True)
-class SmcControl:
-    """Saturated sliding-mode force from a completed design (M0 set)."""
-
-    design: SlidingDesign
-    label: str = "smc"
-
-    def __post_init__(self):
-        if self.design.M0 is None:
-            raise ConfigError("SmcControl needs a design with the switching gain M0 set")
-
-    @property
-    def law(self) -> FeedbackLaw:
-        return FeedbackLaw(tuple(self.design.eta.tolist()),
-                           (self.design.M0, self.design.epsilon))
-
-    def force(self, z) -> float:
-        return self.law.force(z)
-
-    def sigma(self, z) -> float:
-        return self.law.sigma(z)
+def SmcControl(design: SlidingDesign, label: str = "smc") -> FeedbackLaw:
+    """Saturated sliding-mode force from a completed design (M0 set): gain eta."""
+    if design.M0 is None:
+        raise ConfigError("SmcControl needs a design with the switching gain M0 set")
+    return FeedbackLaw(design.eta, (design.M0, design.epsilon), label)
 
 
-@dataclass(frozen=True)
-class LqrControl:
+def LqrControl(gain, label: str = "lqr") -> FeedbackLaw:
     """Linear state feedback u = -k.z."""
-
-    gain: np.ndarray
-    label: str = "lqr"
-
-    def __post_init__(self):
-        gain = np.asarray(self.gain, dtype=float)
-        if gain.shape != (4,) or not np.all(np.isfinite(gain)):
-            raise ConfigError(f"LQR gain must be 4 finite numbers, got {self.gain!r}")
-        object.__setattr__(self, "gain", gain)
-
-    @property
-    def law(self) -> FeedbackLaw:
-        return FeedbackLaw(tuple(self.gain.tolist()))
-
-    def force(self, z) -> float:
-        return self.law.force(z)
+    return FeedbackLaw(gain, label=label)
 
 
 @dataclass(frozen=True)
@@ -278,16 +255,17 @@ class SimulationTrace:
         raise KeyError(name)
 
 
-def simulate(plant: PlantStateSpace, controller, quake: Accelerogram, t_end: float,
-             mu_d: float = 0.0, dt: float | None = None, z0=None) -> SimulationTrace:
+def simulate(plant: PlantStateSpace, controller: FeedbackLaw, quake: Accelerogram,
+             t_end: float, mu_d: float = 0.0, dt: float | None = None,
+             z0=None) -> SimulationTrace:
     """Fixed-step RK4 run from rest (or ``z0``) for ``t_end`` seconds.
 
-    ``dt`` defaults to the record's sample interval. The controller's
-    feedback law gives the force once per step, and it is held; friction and
-    excitation vary inside the step. The step runs on Python floats, with
-    every sum in a fixed order, so repeated runs are bit-identical.
+    ``dt`` defaults to the record's sample interval. The controller gives
+    the force once per step, and it is held; friction and excitation vary
+    inside the step. The step runs on Python floats, with every sum in a
+    fixed order, so repeated runs are bit-identical.
     """
-    if not isinstance(controller, (PassiveControl, SmcControl, LqrControl)):
+    if not isinstance(controller, FeedbackLaw):
         raise ConfigError(f"unknown controller type {type(controller).__name__}")
     dt = quake.dt if dt is None else finite_number("dt", dt)
     t_end = finite_number("t_end", t_end)
@@ -321,10 +299,9 @@ def simulate(plant: PlantStateSpace, controller, quake: Accelerogram, t_end: flo
         (a30, a31, a32, a33) = plant.A.tolist()
     b0, b1, b2, b3 = plant.B.tolist()
     d0, d1, d2, d3 = plant.D.tolist()
-    law = controller.law
-    g0, g1, g2, g3 = law.gain
-    relay = law.relay is not None
-    M0, eps = law.relay if relay else (0.0, 1.0)  # read only with a relay
+    g0, g1, g2, g3 = controller.gain
+    relay = controller.relay is not None
+    M0, eps = controller.relay if relay else (0.0, 1.0)  # read only with a relay
 
     def rate(y0, y1, y2, y3, u, x):
         """A y + B (u - mu_d sign(y2)) + D x, each row summed as

@@ -12,7 +12,7 @@ The switching gain follows from the force peak of the winning design.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +20,7 @@ import numpy as np
 from .errors import ConfigError, InfeasibleTuningError, finite_number
 from .freqresp import DEFAULT_BAND, DEFAULT_SAMPLES, band_table, transfer_batch, zero_rows
 from .smc import (LAMBDA4_FACTOR, PoleSpec, SlidingDesign, ackermann_rows, design_batch,
-                  design_sliding_controller, dominant_pair, real_poles, sliding_vectors,
-                  switching_gain)
+                  dominant_pair, real_poles, sliding_vectors, switching_gain)
 from .structure import ModalModel, PlantStateSpace
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "tune",
     "feasible_region",
     "export_mesh",
-    "result_from_dict",
 ]
 
 INDEX_CHOICES = ("jz2", "ju")
@@ -154,23 +152,7 @@ class TuningConfig:
         return PoleSpec(zeta=zeta, omega_n=omega_n, lambda3=lambda3, lambda4=lambda4)
 
     def to_dict(self) -> dict:
-        return {
-            "kappa_bars": {
-                "kappa1": self.kappa_bars.kappa1,
-                "kappa2": self.kappa_bars.kappa2,
-                "kappa3": self.kappa_bars.kappa3,
-                "kappa_u": self.kappa_bars.kappa_u,
-            },
-            "zeta_l": self.zeta_l, "zeta_u": self.zeta_u, "delta_zeta": self.delta_zeta,
-            "omega_nl": self.omega_nl, "omega_nu": self.omega_nu,
-            "delta_omega": self.delta_omega,
-            "gamma1": self.gamma1, "gamma2": self.gamma2,
-            "index": self.index,
-            "band": [self.band[0], self.band[1]],
-            "n_samples": self.n_samples,
-            "varsigma": self.varsigma, "epsilon": self.epsilon,
-            "lambda4_factor": self.lambda4_factor,
-        }
+        return {**asdict(self), "band": list(self.band)}
 
 
 def _axis_count(lo: float, hi: float, step: float) -> float:
@@ -279,6 +261,7 @@ class TuningResult:
         return None if self.best_index is None else self.tuples[self.best_index]
 
     def to_dict(self) -> dict:
+        region = feasible_region(self) if self.feasible else None
         return {
             "config": self.config.to_dict(),
             "omega0": self.omega0,
@@ -290,10 +273,8 @@ class TuningResult:
             "design": None if self.design is None else self.design.to_dict(),
             "chi": self.chi,
             "M0": self.M0,
-            "feasible_zeta_range": None if not self.feasible else list(_span(
-                [t.zeta for t in self.tuples])),
-            "feasible_omega_range": None if not self.feasible else list(_span(
-                [t.omega_ratio for t in self.tuples])),
+            "feasible_zeta_range": None if region is None else list(region["zeta"]),
+            "feasible_omega_range": None if region is None else list(region["omega_ratio"]),
             "tuples": [t.to_dict() for t in self.tuples],
         }
 
@@ -391,33 +372,3 @@ def export_mesh(result: TuningResult, path) -> None:
         fh.write("# argmin," + ",".join(repr(v) for v in
                                         (b.zeta, b.omega_ratio, b.kappa1, b.kappa2,
                                          b.kappa3, b.kappa_u)) + "\n")
-
-
-def _tuple_from_dict(d: dict) -> TuningTuple:
-    return TuningTuple(
-        zeta=float(d["zeta"]), omega_n=float(d["omega_n"]),
-        omega_ratio=float(d["omega_ratio"]),
-        eta=np.asarray(d["eta"], dtype=float),
-        kappa1=float(d["kappa1"]), kappa2=float(d["kappa2"]),
-        kappa3=float(d["kappa3"]), kappa_u=float(d["kappa_u"]),
-        lambda1=complex(*d["lambda1"]), lambda2=complex(*d["lambda2"]),
-        lambda3=float(d["lambda3"]),
-        psi1=float(d["psi1"]), psi2=float(d["psi2"]))
-
-
-def result_from_dict(d: dict, plant: PlantStateSpace) -> TuningResult:
-    """Rebuild a TuningResult (including its design) from its JSON dict."""
-    config = load_tuning_config(d["config"])
-    tuples = tuple(_tuple_from_dict(td) for td in d["tuples"])
-    best_index = d.get("best_index")
-    design = None
-    if best_index is not None:
-        best = tuples[best_index]
-        design = design_sliding_controller(plant, config.poles(best.zeta, best.omega_n),
-                                           epsilon=config.epsilon)
-        if d.get("M0") is not None:
-            design = design.with_switching_gain(d["M0"])
-    return TuningResult(config=config, omega0=float(d["omega0"]), tuples=tuples,
-                        best_index=best_index, design=design,
-                        chi=d.get("chi"), M0=d.get("M0"),
-                        message=d.get("message", ""))

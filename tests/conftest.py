@@ -231,7 +231,7 @@ def reference_rk4(plant: st.PlantStateSpace, controller, quake: st.Accelerogram,
     if z.shape != (4,):
         raise ConfigError("z0 must have 4 entries")
 
-    is_smc = isinstance(controller, st.SmcControl)
+    is_smc = controller.relay is not None
     Z = np.empty((n + 1, 4))
     U = np.empty(n + 1)
     S = np.zeros(n + 1)

@@ -1,4 +1,6 @@
 """Record loading, RK4 closed-loop simulation, summaries, reaching behaviour."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,29 @@ def test_smc_controller_requires_gain(five_story):
         plant, st.PoleSpec(zeta=0.5, omega_n=0.5 * modal.omega0))
     with pytest.raises(ConfigError):
         st.SmcControl(design)
+
+
+@pytest.mark.parametrize("relay", [{"epsilon": 0.0}, {"epsilon": -0.05}, {"M0": -24.0},
+                                   {"M0": float("nan")}])
+def test_smc_controller_rejects_bad_relay(tune_five_jz2, relay):
+    # each used to reach the kernel: epsilon = 0 raised ZeroDivisionError at
+    # step 0, a negative epsilon or M0 ran without error (M0 < 0 pushes the
+    # wrong way), and a NaN M0 failed later as a "state diverged" NumericalError
+    design = replace(tune_five_jz2.result.design, **relay)
+    with pytest.raises(ConfigError, match="relay"):
+        st.SmcControl(design)
+    with pytest.raises(ConfigError, match="relay"):
+        st.FeedbackLaw(design.eta, (design.M0, design.epsilon))
+
+
+def test_feedback_law_built_directly_runs(five_story, tune_five_jz2, quake):
+    _, _, plant = five_story
+    design = tune_five_jz2.result.design
+    direct = st.FeedbackLaw(design.eta.tolist(), (design.M0, design.epsilon), "smc")
+    assert direct == st.SmcControl(design)
+    trace = st.simulate(plant, direct, quake, 2.0)
+    assert trace.label == "smc" and np.any(trace.sigma)
+    assert [direct.force(z) for z in trace.z] == trace.u.tolist()
 
 
 def _controller(kind, plant, tuned):

@@ -172,19 +172,14 @@ def test_batched_scan_matches_scalar_path(quanser, tune_quanser_jz2, tune_quanse
         assert scalar_path_mismatches(timed.result, plant) == []
 
 
-def test_result_json_roundtrip(tmp_path, five_story, tune_quanser_jz2, quanser):
-    _, _, plant = quanser
+def test_result_json_roundtrip(tmp_path, tune_quanser_jz2):
     result = tune_quanser_jz2.result
     path = tmp_path / "result.json"
     result.to_json(path)
-    import json
-    restored = st.result_from_dict(json.loads(path.read_text()), plant)
-    assert restored.feasible_count == result.feasible_count
-    assert restored.best_index == result.best_index
-    assert restored.M0 == result.M0
-    assert np.array_equal(restored.best.eta, result.best.eta)
-    assert np.array_equal(restored.design.eta, result.design.eta)
-    assert restored.design.M0 == result.design.M0
+    saved = json.loads(path.read_text())
+    assert saved["tuples"] == [t.to_dict() for t in result.tuples]
+    assert saved == result.to_dict()
+    assert saved["design"]["eta"] == result.design.eta.tolist()
 
 
 def test_grid_values_inclusive(five_story_tuning):
