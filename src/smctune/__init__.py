@@ -5,9 +5,8 @@ simulator."""
 
 from .errors import (ConfigError, InfeasibleDesignError, InfeasibleTuningError,
                      NumericalError)
-from .freqresp import (DEFAULT_BAND, DEFAULT_SAMPLES, RationalTf, TransferFunctions,
-                       band_peak, band_rms, build_transfer_functions,
-                       dump_frequency_response, frequency_grid, transfer_zeros)
+from .freqresp import (DEFAULT_BAND, DEFAULT_SAMPLES, dump_frequency_response,
+                       frequency_grid)
 from .lqr import (LqrResult, LqrSpec, MaxValues, bryson_weights,
                   lqr_equivalent_polespec, solve_lqr, solve_riccati)
 from .sim import (Accelerogram, FeedbackLaw, LqrControl, PassiveControl, ReachingReport,

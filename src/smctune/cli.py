@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, InfeasibleTuningError, NumericalError
 from .fixtures import fixture_path
-from .freqresp import build_transfer_functions, dump_frequency_response
+from .freqresp import dump_frequency_response
 from .lqr import MaxValues, bryson_weights, lqr_equivalent_polespec, solve_lqr
 from .sim import (LqrControl, PassiveControl, SmcControl, load_accelerogram,
                   simulate, summarize, write_trace_csv)
@@ -160,8 +160,7 @@ def cmd_freq(args) -> int:
         return EXIT_INFEASIBLE
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    tfs = build_transfer_functions(result.design)
-    dump_frequency_response(tfs, plant.bounds.delta, out / "frequency_response.csv",
+    dump_frequency_response(result.design, plant.bounds.delta, out / "frequency_response.csv",
                             band=config.band, n_samples=config.n_samples)
     _write_json(result.design.to_dict(), out / "design.json")
     print(f"wrote {out / 'frequency_response.csv'} and {out / 'design.json'}")

@@ -19,17 +19,11 @@ from .smc import DesignBatch, SlidingDesign, rowdot, sliding_polynomial
 __all__ = [
     "DEFAULT_BAND",
     "DEFAULT_SAMPLES",
-    "RationalTf",
-    "TransferFunctions",
     "TransferBatch",
     "zero_rows",
-    "transfer_zeros",
     "transfer_batch",
-    "build_transfer_functions",
     "frequency_grid",
     "band_table",
-    "band_rms",
-    "band_peak",
     "dump_frequency_response",
 ]
 
@@ -40,42 +34,6 @@ DEFAULT_SAMPLES = 2000
 #: bytes of one (rows, n_samples) float64 temporary of ``band_table``; it sets
 #: how many designs are evaluated per block (4 at DEFAULT_SAMPLES)
 BAND_BLOCK_BYTES = 64 * 1024
-
-
-@dataclass(frozen=True)
-class RationalTf:
-    """gain * num(s) / den(s) with coefficients in descending powers of s."""
-
-    num: np.ndarray
-    den: np.ndarray
-    gain: float = 1.0
-
-    def __call__(self, s):
-        return self.gain * np.polyval(self.num, s) / np.polyval(self.den, s)
-
-    def magnitude(self, omega):
-        return np.abs(self(1j * np.asarray(omega)))
-
-    def zeros(self) -> np.ndarray:
-        return np.roots(self.num)
-
-    def poles(self) -> np.ndarray:
-        return np.roots(self.den)
-
-
-@dataclass(frozen=True)
-class TransferFunctions:
-    """Closed-loop responses to the ground acceleration in the sliding mode."""
-
-    g1: RationalTf   # damper stroke, m per m/s^2
-    g2: RationalTf   # top-floor displacement
-    g3: RationalTf   # damper velocity
-    gu: RationalTf   # control force, N per m/s^2
-    psi1: float      # zero of g1 and g3
-    psi2: float      # zero of g2
-
-    def as_dict(self) -> dict[str, RationalTf]:
-        return {"1": self.g1, "2": self.g2, "3": self.g3, "u": self.gu}
 
 
 def zero_rows(eta: np.ndarray):
@@ -91,27 +49,13 @@ def zero_rows(eta: np.ndarray):
         return -eta[:, 1] / eta[:, 3], -eta[:, 0] / eta[:, 2], defined
 
 
-def transfer_zeros(eta) -> tuple[float, float]:
-    """Zeros psi1 = -eta2/eta4 and psi2 = -eta1/eta3 of the reduced responses.
-
-    A vanishing eta3 or eta4 leaves the corresponding zero undefined and the
-    candidate design is reported as infeasible.
-    """
-    psi1, psi2, defined = zero_rows(np.asarray(eta, dtype=float)[None])
-    if not defined[0]:
-        raise InfeasibleDesignError(
-            "sliding vector has a vanishing third or fourth component; "
-            "transfer-function zeros are undefined")
-    return float(psi1[0]), float(psi2[0])
-
-
 @dataclass(frozen=True)
 class TransferBatch:
     """G1, G2, G3, Gu for a stack of designs, row i for design i.
 
-    The four responses share the denominator ``den`` (the sliding
-    characteristic polynomial); ``nums[c]`` and ``gains[c]`` are those of
-    channel c in the order 1, 2, 3, u, as in RationalTf.
+    Channel c, in the order 1, 2, 3, u, is gains[c] * nums[c](s) / den(s)
+    with coefficients in descending powers of s; the four responses share
+    the denominator ``den`` (the sliding characteristic polynomial).
     """
 
     den: np.ndarray                      # (m, 4)
@@ -119,13 +63,6 @@ class TransferBatch:
     gains: tuple[np.ndarray, ...]        # four (m,) arrays
     psi1: np.ndarray                     # (m,)
     psi2: np.ndarray                     # (m,)
-
-    def functions(self, i: int) -> TransferFunctions:
-        g1, g2, g3, gu = (RationalTf(num=num[i].copy(), den=self.den[i].copy(),
-                                     gain=float(gain[i]))
-                          for num, gain in zip(self.nums, self.gains))
-        return TransferFunctions(g1=g1, g2=g2, g3=g3, gu=gu,
-                                 psi1=float(self.psi1[i]), psi2=float(self.psi2[i]))
 
 
 def transfer_batch(designs: DesignBatch) -> TransferBatch:
@@ -156,12 +93,6 @@ def transfer_batch(designs: DesignBatch) -> TransferBatch:
             designs.alpha1[:, None] * den + num_u)
     gains = (a2, -a2 * eta[:, 2] / eta[:, 3], a2, ones)
     return TransferBatch(den=den, nums=nums, gains=gains, psi1=psi1, psi2=psi2)
-
-
-def build_transfer_functions(design: SlidingDesign) -> TransferFunctions:
-    """G1, G2, G3, Gu of one design: ``transfer_batch`` with a stack of one."""
-    transfer_zeros(design.eta)      # InfeasibleDesignError when a zero is undefined
-    return transfer_batch(DesignBatch.of(design)).functions(0)
 
 
 def frequency_grid(band=DEFAULT_BAND, n_samples: int = DEFAULT_SAMPLES) -> np.ndarray:
@@ -211,7 +142,16 @@ def _band_squares(den, nums, gains, delta: float, omega: np.ndarray) -> list[np.
 
 
 def _trapezoid_rms(squares: np.ndarray) -> np.ndarray:
-    """Square root of the trapezoid band mean of each row (see band_rms)."""
+    """Band RMS sqrt(mean over the band of |delta H(j omega)|^2) of each row.
+
+    The band mean of the squared magnitude is the integral over the band
+    divided by its width, estimated by the composite trapezoid rule on
+    ``frequency_grid(band, n_samples)``: interior samples carry weight
+    1/(n-1), the two endpoints 1/(2(n-1)). Equal weights on the inclusive
+    grid would give each endpoint 1/n instead, an O(1/n) bias that matters
+    here because every response peaks at the lower band edge; the trapezoid
+    estimate converges as O(1/n^2). ``n_samples`` sets the resolution.
+    """
     interior_weighted = squares.sum(axis=-1) - 0.5 * (squares[:, 0] + squares[:, -1])
     return np.sqrt(interior_weighted / (squares.shape[-1] - 1))
 
@@ -222,8 +162,9 @@ def band_table(batch: TransferBatch, delta: float, band=DEFAULT_BAND,
 
     All rows share one ``frequency_grid``. They are evaluated in blocks whose
     (rows, n_samples) temporaries fit BAND_BLOCK_BYTES, so memory stays
-    bounded however many designs the stack holds; chi comes from the same
-    |H_u| values as kappa_u.
+    bounded however many designs the stack holds. kappa is the trapezoid
+    band RMS (``_trapezoid_rms``), and chi comes from the same |H_u| values
+    as kappa_u.
     """
     omega = frequency_grid(band, n_samples)
     rows = len(batch.den)
@@ -239,45 +180,24 @@ def band_table(batch: TransferBatch, delta: float, band=DEFAULT_BAND,
     return kappa, chi
 
 
-def _one_channel(tf: RationalTf, delta: float, band, n_samples: int) -> np.ndarray:
-    """|delta tf(j omega)|^2 on the band grid, as a stack of one row."""
-    (squares,) = _band_squares(np.asarray(tf.den, dtype=float)[None],
-                               [np.asarray(tf.num, dtype=float)[None]],
-                               [np.array([tf.gain], dtype=float)], delta,
-                               frequency_grid(band, n_samples))
-    return squares
-
-
-def band_rms(tf: RationalTf, delta: float, band=DEFAULT_BAND,
-             n_samples: int = DEFAULT_SAMPLES) -> float:
-    """Band RMS kappa = sqrt(mean over the band of |delta * tf(j omega)|^2).
-
-    The band mean of the squared magnitude is the integral over the band
-    divided by its width, estimated by the composite trapezoid rule on
-    ``frequency_grid(band, n_samples)``: interior samples carry weight
-    1/(n-1), the two endpoints 1/(2(n-1)). Equal weights on the inclusive
-    grid would give each endpoint 1/n instead, an O(1/n) bias that matters
-    here because every response peaks at the lower band edge; the trapezoid
-    estimate converges as O(1/n^2). ``n_samples`` sets the resolution. This
-    is the kernel of ``band_table`` with a stack of one.
-    """
-    return float(_trapezoid_rms(_one_channel(tf, delta, band, n_samples))[0])
-
-
-def band_peak(tf: RationalTf, delta: float, band=DEFAULT_BAND,
-              n_samples: int = DEFAULT_SAMPLES) -> float:
-    """Maximum of |delta * tf(j omega)| over the same grid band_rms uses."""
-    return float(np.sqrt(_one_channel(tf, delta, band, n_samples).max(axis=-1))[0])
-
-
-def dump_frequency_response(tfs: TransferFunctions, delta: float, path,
+def dump_frequency_response(design: SlidingDesign, delta: float, path,
                             band=DEFAULT_BAND, n_samples: int = DEFAULT_SAMPLES) -> None:
-    """CSV dump of the scaled magnitudes |H_i(j omega)| for plotting."""
+    """CSV of the scaled magnitudes |delta H_c(j omega)| of one design, for plotting.
+
+    The columns are the square roots of the ``_band_squares`` values that
+    ``band_table`` reduces to kappa and chi, so the peak of the Hu column is
+    chi. A design whose transfer zeros are undefined is infeasible.
+    """
+    designs = DesignBatch.of(design)
+    if not zero_rows(designs.eta)[2][0]:
+        raise InfeasibleDesignError(
+            "sliding vector has a vanishing third or fourth component; "
+            "transfer-function zeros are undefined")
     omega = frequency_grid(band, n_samples)
-    columns = [delta * tf.magnitude(omega) for tf in
-               (tfs.g1, tfs.g2, tfs.g3, tfs.gu)]
+    batch = transfer_batch(designs)
+    squares = _band_squares(batch.den, batch.nums, batch.gains, delta, omega)
+    rows = np.column_stack([omega] + [np.sqrt(sq[0]) for sq in squares]).tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["omega_rad_s", "H1", "H2", "H3", "Hu"])
-        for i, w in enumerate(omega):
-            writer.writerow([repr(float(w))] + [repr(float(col[i])) for col in columns])
+        writer.writerows([repr(x) for x in row] for row in rows)

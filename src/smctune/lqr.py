@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 RESIDUAL_MAX = 1e-8
+#: Newton-Kleinman steps after the direct solve, at most
+NEWTON_STEPS = 30
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,6 @@ class MaxValues:
 class LqrSpec:
     """Quadratic cost weights: diagonal Q and scalar control weight r."""
 
-    max_values: MaxValues
     Q: np.ndarray
     r: float
 
@@ -68,7 +69,7 @@ def bryson_weights(max_values: MaxValues) -> LqrSpec:
     """Q[i,i] = 1/max_i^2 and r = 1/u_max^2."""
     q = np.array([1.0 / max_values.z1 ** 2, 1.0 / max_values.z2 ** 2,
                   1.0 / max_values.z3 ** 2, 1.0 / max_values.z4 ** 2])
-    return LqrSpec(max_values=max_values, Q=np.diag(q), r=1.0 / max_values.u ** 2)
+    return LqrSpec(Q=np.diag(q), r=1.0 / max_values.u ** 2)
 
 
 def _riccati_residual(A, B, Q, r, P) -> float:
@@ -76,12 +77,12 @@ def _riccati_residual(A, B, Q, r, P) -> float:
     return float(np.abs(res).max())
 
 
-def solve_riccati(A, B, Q, r, max_iter: int = 30):
+def solve_riccati(A, B, Q, r):
     """Stabilizing CARE solution for a single-input pair.
 
-    scipy's direct solver provides the starting point; Newton-Kleinman
-    iterations (one Lyapunov solve each) then drive the residual to rounding
-    level. Returns (P, k_gain, closed_loop_eigs, residual).
+    scipy's direct solver provides the starting point; up to NEWTON_STEPS
+    Newton-Kleinman iterations (one Lyapunov solve each) then drive the
+    residual to rounding level. Returns (P, k_gain, closed_loop_eigs, residual).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(B, dtype=float).reshape(-1)
@@ -97,7 +98,7 @@ def solve_riccati(A, B, Q, r, max_iter: int = 30):
 
     best_P = P
     best_res = _riccati_residual(A, b, Q, r, P)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_STEPS):
         k = (b @ P) / r
         A_cl = A - np.outer(b, k)
         if np.max(np.linalg.eigvals(A_cl).real) >= 0:

@@ -79,6 +79,10 @@ def _parse_quake_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
                     dt_header = float(cells[1])
                 except (IndexError, ValueError) as exc:
                     raise ConfigError(f"{path}:{lineno}: malformed dt header") from exc
+                dt_header = finite_number(f"{path}:{lineno}: dt header", dt_header)
+                if dt_header <= 0:
+                    raise ConfigError(f"{path}:{lineno}: dt header must be positive, "
+                                      f"got {dt_header}")
                 continue
             try:
                 values = [float(c) for c in cells]
@@ -97,7 +101,7 @@ def _parse_quake_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
         acc = np.array([v[0] for _, v in rows])
         return np.arange(len(acc)) * dt_header, acc
     if widths == {2}:
-        t = np.array([v[0] for _, v in rows])
+        t = np.array([finite_number(f"{path}:{lineno}: time", v[0]) for lineno, v in rows])
         acc = np.array([v[1] for _, v in rows])
         if np.any(np.diff(t) <= 0):
             raise ConfigError(f"{path}: time column must be strictly increasing")
@@ -383,8 +387,16 @@ class ReachingReport:
 
 
 def reaching_check(trace: SimulationTrace, design: SlidingDesign) -> ReachingReport:
-    """Boundary-layer occupancy and the discrete decay surrogate sigma*dsigma < 0."""
-    sigma = trace.z @ design.eta
+    """Boundary-layer occupancy and the discrete decay surrogate sigma*dsigma < 0.
+
+    Reads the sliding variable the simulator stored. A passive or LQR run
+    stores sigma = 0, so a trace that moved with an all-zero sigma is
+    rejected rather than reported as lying in the layer throughout.
+    """
+    sigma = trace.sigma
+    if not np.any(sigma) and np.any(trace.z):
+        raise ConfigError(f"trace {trace.label!r} stores no sliding variable; "
+                          "reaching_check needs a sliding-mode run")
     eps = design.epsilon
     inside = np.abs(sigma) <= eps
     dsigma = np.diff(sigma)

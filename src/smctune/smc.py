@@ -456,7 +456,7 @@ def design_sliding_controller(plant: PlantStateSpace, poles: PoleSpec,
 
     This is ``design_batch`` with a stack of one. The switching gain is left
     unset; it depends on the excitation band analysis (see
-    freqresp.band_peak and switching_gain).
+    freqresp.band_table and switching_gain).
     """
     batch = design_batch(plant, poles.zeta, poles.omega_n, poles.lambda3, poles.lambda4)
     return batch.design(0, epsilon)

@@ -134,7 +134,7 @@ def resolvent_response(design: st.SlidingDesign, channel: str, omega) -> np.ndar
 
     (c, d) is the unit selector of z1/z2/z3 for channel "1"/"2"/"3" and
     (nu1, alpha1) for the force channel "u". It shares no code with the
-    rational realization of ``build_transfer_functions``.
+    rational realization of ``transfer_batch``.
     """
     if channel == "u":
         c_row, feed = design.nu1, design.alpha1
@@ -145,12 +145,28 @@ def resolvent_response(design: st.SlidingDesign, channel: str, omega) -> np.ndar
                      for w in np.atleast_1d(omega)])
 
 
-def quad_band_rms(design: st.SlidingDesign, channel: str, delta: float,
+def transfer_of(design: st.SlidingDesign):
+    """``transfer_batch`` of ``design`` as a stack of one."""
+    return st.freqresp.transfer_batch(st.smc.DesignBatch.of(design))
+
+
+def rational_response(batch, channel: str, s) -> np.ndarray:
+    """gains * num(s) / den(s) of row 0 of ``batch``, by complex ``np.polyval``.
+
+    An evaluation of the rational form that shares no code with the
+    real-arithmetic |H|^2 of ``band_table``.
+    """
+    c = "123u".index(channel)
+    return batch.gains[c][0] * np.polyval(batch.nums[c][0], s) / np.polyval(batch.den[0], s)
+
+
+def quad_kappa(design: st.SlidingDesign, channel: str, delta: float,
                   band=st.DEFAULT_BAND) -> float:
     """Independent kappa oracle: adaptive quadrature on the state-space resolvent.
 
     sqrt(mean over the band of |delta resolvent_response|^2). It shares
-    neither the rational realization nor the frequency grid with ``band_rms``.
+    neither the rational realization nor the frequency grid with
+    ``band_table``.
     """
     def mag_sq(w):
         return abs(resolvent_response(design, channel, w)[0]) ** 2
@@ -161,13 +177,13 @@ def quad_band_rms(design: st.SlidingDesign, channel: str, delta: float,
 
 
 def scalar_path_mismatches(result: st.TuningResult, plant: st.PlantStateSpace) -> list[str]:
-    """What of a batched scan differs from the single-design path.
+    """What of a batched scan differs from each design computed alone.
 
-    Every feasible tuple is rebuilt alone through ``config.poles``,
-    ``design_sliding_controller``, ``transfer_zeros``,
-    ``build_transfer_functions`` and ``band_rms``, and the winner's chi and M0
-    through ``band_peak`` and ``switching_gain``; any field that is not
-    bit-identical is named in the returned list.
+    Every feasible tuple is rebuilt as a stack of one through
+    ``config.poles``, ``design_sliding_controller``, ``DesignBatch.of``,
+    ``zero_rows``, ``transfer_batch`` and ``band_table``, and the winner's
+    chi and M0 through ``band_table`` and ``switching_gain``; any field that
+    is not bit-identical is named in the returned list.
     """
     config, delta = result.config, plant.bounds.delta
     band, n = config.band, config.n_samples
@@ -179,11 +195,11 @@ def scalar_path_mismatches(result: st.TuningResult, plant: st.PlantStateSpace) -
         design = st.design_sliding_controller(plant, poles, epsilon=config.epsilon)
         if not np.array_equal(design.eta, t.eta):
             mismatches.append(f"tuple {i}: eta")
-        if st.transfer_zeros(design.eta) != (t.psi1, t.psi2):
+        (psi1,), (psi2,), (defined,) = st.freqresp.zero_rows(design.eta[None])
+        if not defined or (psi1, psi2) != (t.psi1, t.psi2):
             mismatches.append(f"tuple {i}: psi1, psi2")
-        tfs = st.build_transfer_functions(design)
-        kappas = tuple(st.band_rms(tf, delta, band, n) for tf in (tfs.g1, tfs.g2, tfs.g3, tfs.gu))
-        if kappas != (t.kappa1, t.kappa2, t.kappa3, t.kappa_u):
+        (kappas,), _ = st.freqresp.band_table(transfer_of(design), delta, band, n)
+        if tuple(kappas) != (t.kappa1, t.kappa2, t.kappa3, t.kappa_u):
             mismatches.append(f"tuple {i}: kappas")
     best = result.best
     design = st.design_sliding_controller(plant, config.poles(best.zeta, best.omega_n),
@@ -191,7 +207,7 @@ def scalar_path_mismatches(result: st.TuningResult, plant: st.PlantStateSpace) -
     if not (np.array_equal(design.eta, result.design.eta)
             and np.array_equal(design.k_gain, result.design.k_gain)):
         mismatches.append("winner: eta, k_gain")
-    chi = st.band_peak(st.build_transfer_functions(design).gu, delta, band, n)
+    _, (chi,) = st.freqresp.band_table(transfer_of(design), delta, band, n)
     if chi != result.chi:
         mismatches.append("winner: chi")
     if st.switching_gain(chi, plant.bounds.varpi, config.varsigma) != result.M0:

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import smctune as st
-from conftest import (make_random_plant, make_random_poles, quad_band_rms,
-                      resolvent_response, scalar_path_mismatches)
+from conftest import (make_random_plant, make_random_poles, quad_kappa, rational_response,
+                      resolvent_response, scalar_path_mismatches, transfer_of)
 
 
 def _report(n: int, text: str) -> None:
@@ -68,7 +68,7 @@ def test_criterion_3_five_story_tuning(five_story, tune_five_jz2, tune_five_ju):
     # published 4.0 cm; the converged band RMS is 3.798 cm, 5.05% under it,
     # because the printed figure is a coarse-grid statistic (see README), so
     # kappa1 is checked against an independent quadrature of the band mean
-    kappa1_quad = quad_band_rms(jz2.design, "1", plant.bounds.delta, jz2.config.band)
+    kappa1_quad = quad_kappa(jz2.design, "1", plant.bounds.delta, jz2.config.band)
     assert best.kappa1 == pytest.approx(kappa1_quad, rel=1e-3)
     assert best.kappa2 == pytest.approx(0.0010, rel=0.05)   # 1.0 mm
     assert best.kappa3 == pytest.approx(0.338, rel=0.05)    # 33.8 cm/s
@@ -155,11 +155,11 @@ def test_criterion_7_kappa_rms_coherence(five_story_runs, tune_five_jz2):
 
 def test_criterion_8a_frequency_cross_oracle(tune_five_jz2):
     design = tune_five_jz2.result.design
-    tfs = st.build_transfer_functions(design)
+    batch = transfer_of(design)
     omega = np.linspace(1.0, 130.0, 37)
-    for tf, channel in zip((tfs.g1, tfs.g2, tfs.g3, tfs.gu), "123u"):
+    for channel in "123u":
         direct = resolvent_response(design, channel, omega)
-        rational = tf(1j * omega)
+        rational = rational_response(batch, channel, 1j * omega)
         assert np.max(np.abs(rational - direct) / np.abs(direct)) < 1e-8
     _report(8, "rational and state-space responses agree to 1e-8")
 
@@ -170,13 +170,11 @@ def test_criterion_8b_rms_grid_convergence(five_story, tune_five_jz2):
     # every response peaks at the lower band edge: refining 2000 -> 4000
     # moves kappa by at most 4.9e-5 on this design.
     _, _, plant = five_story
-    tfs = st.build_transfer_functions(tune_five_jz2.result.design)
+    batch = transfer_of(tune_five_jz2.result.design)
     delta = plant.bounds.delta
-    worst = 0.0
-    for tf in (tfs.g1, tfs.g2, tfs.g3, tfs.gu):
-        a = st.band_rms(tf, delta, n_samples=2000)
-        b = st.band_rms(tf, delta, n_samples=4000)
-        worst = max(worst, abs(a - b) / b)
+    (a,), _ = st.freqresp.band_table(batch, delta, n_samples=2000)
+    (b,), _ = st.freqresp.band_table(batch, delta, n_samples=4000)
+    worst = float(np.max(np.abs(a - b) / b))
     assert worst < 1e-3, (
         f"grid refinement moves kappa by {100 * worst:.2f}% (> 0.1%); "
         "the trapezoid band RMS should have converged, see test comment")
@@ -212,8 +210,8 @@ def test_criterion_8e_force_bound(five_story_runs, tune_five_jz2):
 
 
 def test_criterion_8f_batched_scalar_identity(quanser, tune_quanser_jz2):
-    # every feasible tuple of the batched scan, rebuilt alone through the
-    # single-design API, reproduces eta, psi1, psi2, the four kappas and the
+    # every feasible tuple of the batched scan, rebuilt alone as a stack of
+    # one, reproduces eta, psi1, psi2, the four kappas and the
     # winner's chi and M0 exactly
     _, _, q_plant = quanser
     result = tune_quanser_jz2.result

@@ -100,6 +100,25 @@ def test_freq_command(tmp_path):
     assert design["M0"] == pytest.approx(13.52, rel=0.05)
 
 
+def test_freq_csv_is_the_band_table_of_the_winner(tmp_path, tune_quanser_jz2):
+    # the Hu peak is the scan's chi and the trapezoid RMS of each squared
+    # column is the winner's kappa: the file and result.json share one path
+    args = ["freq", "--config", "quanser.json", "--tuning", "quanser_tuning.json"]
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(args + ["--out", str(out1)]) == 0
+    assert main(args + ["--out", str(out2)]) == 0
+    for name in ("frequency_response.csv", "design.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    table = np.loadtxt(out1 / "frequency_response.csv", delimiter=",", skiprows=1)
+    omega, columns = table[:, 0], table[:, 1:].T
+    result = tune_quanser_jz2.result
+    assert columns[3].max() == result.chi
+    best = result.best
+    for column, kappa in zip(columns, (best.kappa1, best.kappa2, best.kappa3, best.kappa_u)):
+        rms = np.sqrt(np.trapezoid(column ** 2, omega) / (omega[-1] - omega[0]))
+        assert rms == pytest.approx(kappa, rel=1e-12)
+
+
 def test_simulate_zero_quake(tmp_path):
     zero = tmp_path / "zero.csv"
     zero.write_text("t,accel\n" + "\n".join(f"{0.02 * i},0.0" for i in range(501)) + "\n")
@@ -183,6 +202,24 @@ def test_simulate_non_finite_t_end_exits_2(tmp_path, capsys, t_end):
                "--controller", "passive", "--t-end", t_end, "--out", str(tmp_path)])
     assert rc == 2
     assert "t_end" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("record, scaling, message", [
+    ("t,accel\n0.0,0.0\nnan,1.0\n0.04,-1.0\n", ["--scale", "1.0"], "time must be finite"),
+    ("t,accel\n0.0,0.0\ninf,1.0\n", ["--scale", "1.0"], "time must be finite"),
+    ("dt,-0.02\n0.0\n1.0\n-1.0\n", ["--pga", "3.0"], "dt header must be positive"),
+    ("dt,-0.02\n0.0\n1.0\n-1.0\n", ["--scale", "1.0"], "dt header must be positive"),
+    ("dt,0\n0.0\n1.0\n-1.0\n", ["--scale", "1.0"], "dt header must be positive"),
+    ("dt,nan\n0.0\n1.0\n-1.0\n", ["--scale", "1.0"], "dt header must be finite"),
+], ids=["nan-time", "inf-time", "negative-dt-pga", "negative-dt-scale", "zero-dt", "nan-dt"])
+def test_simulate_bad_record_times_exit_2(tmp_path, capsys, record, scaling, message):
+    quake = tmp_path / "quake.csv"
+    quake.write_text(record)
+    rc = main(["simulate", "--config", "quanser.json", "--quake", str(quake), *scaling,
+               "--controller", "passive", "--t-end", "0.02", "--out", str(tmp_path)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "trace.csv").exists()
 
 

@@ -162,6 +162,18 @@ def test_reaching_zero_excitation(five_story, tune_five_jz2):
     assert report.n_outside == 0
 
 
+def test_reaching_reads_the_stored_sigma(five_story_runs, tune_five_jz2):
+    trace = five_story_runs.smc_jz2
+    report = st.reaching_check(trace, tune_five_jz2.result.design)
+    assert report.max_abs_sigma == np.max(np.abs(trace.sigma))
+
+
+def test_reaching_rejects_a_trace_without_sigma(five_story_runs, tune_five_jz2):
+    # a passive run stores sigma = 0 while the structure moves
+    with pytest.raises(ConfigError, match="sliding variable"):
+        st.reaching_check(five_story_runs.passive, tune_five_jz2.result.design)
+
+
 def test_passive_response_same_order_as_published(five_story_runs):
     # broad order-of-magnitude target; the record scaling is not pinned down
     summary = st.summarize(five_story_runs.passive, (0.0, 30.0))

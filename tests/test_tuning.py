@@ -8,7 +8,7 @@ import smctune as st
 import smctune.cli
 from smctune.errors import ConfigError, InfeasibleTuningError
 from smctune.fixtures import fixture_path
-from conftest import quad_band_rms, scalar_path_mismatches
+from conftest import quad_kappa, scalar_path_mismatches, transfer_of
 
 
 def test_five_story_jz2_operating_point(five_story, tune_five_jz2):
@@ -21,7 +21,7 @@ def test_five_story_jz2_operating_point(five_story, tune_five_jz2):
     assert np.allclose(best.eta, [2.6, -289.2, 0.87, -9.76], rtol=0.02)
     # published 4.0 cm is a coarse-grid figure 5.05% above the converged
     # band RMS (see README), so kappa1 is checked against quadrature instead
-    kappa1_quad = quad_band_rms(result.design, "1", plant.bounds.delta, result.config.band)
+    kappa1_quad = quad_kappa(result.design, "1", plant.bounds.delta, result.config.band)
     assert best.kappa1 == pytest.approx(kappa1_quad, rel=1e-3)
     assert best.kappa2 == pytest.approx(0.0010, rel=0.05)
     assert best.kappa3 == pytest.approx(0.338, rel=0.05)
@@ -153,14 +153,14 @@ def test_saved_tuples_revalidate_bit_for_bit(five_story, tune_five_jz2):
         design = st.design_sliding_controller(plant, config.poles(t.zeta, t.omega_n),
                                               epsilon=config.epsilon)
         assert np.array_equal(design.eta, t.eta)
-        psi1, psi2 = st.transfer_zeros(design.eta)
-        assert psi1 == t.psi1 and psi2 == t.psi2
-        tfs = st.build_transfer_functions(design)
-        delta = plant.bounds.delta
-        assert st.band_rms(tfs.g1, delta, config.band, config.n_samples) == t.kappa1
-        assert st.band_rms(tfs.g2, delta, config.band, config.n_samples) == t.kappa2
-        assert st.band_rms(tfs.g3, delta, config.band, config.n_samples) == t.kappa3
-        assert st.band_rms(tfs.gu, delta, config.band, config.n_samples) == t.kappa_u
+        (psi1,), (psi2,), (defined,) = st.freqresp.zero_rows(design.eta[None])
+        assert defined and psi1 == t.psi1 and psi2 == t.psi2
+        (kappa,), _ = st.freqresp.band_table(transfer_of(design), plant.bounds.delta,
+                                             config.band, config.n_samples)
+        assert kappa[0] == t.kappa1
+        assert kappa[1] == t.kappa2
+        assert kappa[2] == t.kappa3
+        assert kappa[3] == t.kappa_u
 
 
 def test_batched_scan_matches_scalar_path(quanser, tune_quanser_jz2, tune_quanser_ju):
