@@ -3,15 +3,16 @@
 Serves as the comparison controller: weights follow from the maximum
 acceptable magnitude of each state and of the control force, and the gain
 comes from the stabilizing solution of the continuous algebraic Riccati
-equation, polished by Newton-Kleinman iterations until the residual is at
-solver noise level.
+equation. That solution starts from the stable invariant subspace of the
+Hamiltonian matrix (Laub 1979) and is polished by Newton-Kleinman iterations
+(Kleinman 1968) until the residual is at solver noise level. numpy is the
+only dependency.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError, NumericalError, finite_number
 from .structure import PlantStateSpace
@@ -27,7 +28,7 @@ __all__ = [
 ]
 
 RESIDUAL_MAX = 1e-8
-#: Newton-Kleinman steps after the direct solve, at most
+#: Newton-Kleinman steps after the Hamiltonian solve, at most
 NEWTON_STEPS = 30
 
 
@@ -77,12 +78,45 @@ def _riccati_residual(A, B, Q, r, P) -> float:
     return float(np.abs(res).max())
 
 
+def _lyapunov(A_cl, C):
+    """X with A_cl^T X + X A_cl = -C, as one n^2 x n^2 Kronecker system."""
+    n = len(A_cl)
+    eye = np.eye(n)
+    M = np.kron(eye, A_cl.T) + np.kron(A_cl.T, eye)
+    return np.linalg.solve(M, -C.reshape(-1)).reshape(n, n)
+
+
+def _hamiltonian_solution(A, b, Q, r):
+    """P = Re(X2 X1^-1) from the n eigenvectors [X1; X2] of the Hamiltonian
+    [[A, -b b^T/r], [-Q, -A^T]] whose eigenvalues have negative real part."""
+    n = len(A)
+    H = np.block([[A, -np.outer(b, b) / r], [-Q, -A.T]])
+    try:
+        eigs, vecs = np.linalg.eig(H)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Riccati solve failed: {exc}") from exc
+    stable = eigs.real < 0
+    if np.count_nonzero(stable) != n:
+        raise NumericalError(f"Riccati solve failed: the Hamiltonian has "
+                             f"{np.count_nonzero(stable)} stable eigenvalues, not {n}")
+    X1, X2 = vecs[:n, stable], vecs[n:, stable]
+    try:
+        P = np.linalg.solve(X1.T, X2.T).T.real
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("Riccati solve failed: the stable subspace has a "
+                             "singular X1 block") from exc
+    if not np.all(np.isfinite(P)):
+        raise NumericalError("Riccati solve failed: non-finite solution")
+    return P
+
+
 def solve_riccati(A, B, Q, r):
     """Stabilizing CARE solution for a single-input pair.
 
-    scipy's direct solver provides the starting point; up to NEWTON_STEPS
-    Newton-Kleinman iterations (one Lyapunov solve each) then drive the
-    residual to rounding level. Returns (P, k_gain, closed_loop_eigs, residual).
+    The stable invariant subspace of the Hamiltonian matrix provides the
+    starting point; up to NEWTON_STEPS Newton-Kleinman iterations (one
+    Lyapunov solve each) then drive the residual to rounding level. Returns
+    (P, k_gain, closed_loop_eigs, residual).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(B, dtype=float).reshape(-1)
@@ -90,12 +124,12 @@ def solve_riccati(A, B, Q, r):
     r = float(r)
     if r <= 0:
         raise ConfigError(f"control weight r must be positive, got {r}")
+    n = len(A)
+    if A.shape != (n, n) or b.shape != (n,) or Q.shape != (n, n):
+        raise ConfigError(f"Riccati solve needs A and Q n x n and B of length n, got "
+                          f"{A.shape}, {b.shape} and {Q.shape}")
 
-    try:
-        P = scipy.linalg.solve_continuous_are(A, b.reshape(-1, 1), Q, np.array([[r]]))
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalError(f"Riccati solve failed: {exc}") from exc
-
+    P = _hamiltonian_solution(A, b, Q, r)
     best_P = P
     best_res = _riccati_residual(A, b, Q, r, P)
     for _ in range(NEWTON_STEPS):
@@ -104,8 +138,8 @@ def solve_riccati(A, B, Q, r):
         if np.max(np.linalg.eigvals(A_cl).real) >= 0:
             break
         try:
-            P = scipy.linalg.solve_continuous_lyapunov(A_cl.T, -(Q + r * np.outer(k, k)))
-        except (np.linalg.LinAlgError, ValueError):
+            P = _lyapunov(A_cl, Q + r * np.outer(k, k))
+        except np.linalg.LinAlgError:
             break
         P = 0.5 * (P + P.T)
         res = _riccati_residual(A, b, Q, r, P)

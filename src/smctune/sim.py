@@ -36,6 +36,11 @@ __all__ = [
     "write_trace_csv",
 ]
 
+#: Most samples a loaded record and most steps a simulation may have: 2000 s
+#: at 1 ms. The arrays are sized from the record's time span and ``dt``, so a
+#: two-line file or a tiny ``dt`` could otherwise ask for gigabytes.
+MAX_RECORD_SAMPLES = 2_000_000
+
 
 @dataclass(frozen=True)
 class Accelerogram:
@@ -126,7 +131,11 @@ def load_accelerogram(path, scale: float = 1.0, resample_dt: float = 1e-3,
     path = Path(path)
     t, acc = _parse_quake_csv(path)
 
-    n_new = int(np.floor((t[-1] - t[0]) / resample_dt + 1e-9)) + 1
+    steps = np.floor((t[-1] - t[0]) / resample_dt + 1e-9)
+    if not steps < MAX_RECORD_SAMPLES:  # also inf
+        raise ConfigError(f"{path}: resampling {t[-1] - t[0]:g} s at {resample_dt:g} s "
+                          f"needs more than {MAX_RECORD_SAMPLES} samples")
+    n_new = int(steps) + 1
     t_new = t[0] + resample_dt * np.arange(n_new)
     resampled = np.interp(t_new, t, acc)
 
@@ -282,7 +291,11 @@ def simulate(plant: PlantStateSpace, controller: FeedbackLaw, quake: Accelerogra
         raise ConfigError(f"t_end={t_end} s exceeds the record length {quake.duration} s")
     if mu_d < 0:
         raise ConfigError("mu_d must be non-negative")
-    n = int(round(t_end / dt))
+    steps = t_end / dt
+    if not steps <= MAX_RECORD_SAMPLES:  # also inf
+        raise ConfigError(f"t_end / dt = {steps:g} steps exceeds the limit of "
+                          f"{MAX_RECORD_SAMPLES}")
+    n = int(round(steps))
 
     # excitation on the half-step grid: index 2i is t_i, 2i+1 is t_i + dt/2
     t_half = 0.5 * dt * np.arange(2 * n + 1)

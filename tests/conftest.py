@@ -95,6 +95,21 @@ def quake() -> st.Accelerogram:
                                 scale=0.5, scale_mode="pga")
 
 
+@pytest.fixture
+def refuse_huge_arange(monkeypatch):
+    """np.arange fails the test when asked for more than 1e8 elements, so a
+    missing size check shows as a failure instead of gigabytes allocated."""
+    arange = np.arange
+
+    def guarded(*args, **kwargs):
+        start, stop, step = (0, args[0], 1) if len(args) == 1 else (*args, 1)[:3]
+        if stop - start > 1e8 * step:
+            pytest.fail(f"np.arange asked for ({stop} - {start}) / {step} elements")
+        return arange(*args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", guarded)
+
+
 @dataclass(frozen=True)
 class SimRuns:
     passive: st.SimulationTrace

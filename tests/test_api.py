@@ -1,6 +1,10 @@
-"""The public names: every exported name resolves, so star imports work."""
+"""The public names: every exported name resolves, so star imports work, and
+importing the package does not load scipy."""
 import importlib
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -26,3 +30,14 @@ def test_package_reexports_only_public_module_names():
                 if not n.startswith("_") and not isinstance(v, types.ModuleType)}
     assert exported - public == set()
     exec("from smctune import *", {})
+
+
+def test_import_does_not_load_scipy():
+    # scipy is a test-only dependency; loading it would triple the start-up
+    # time of every command
+    src = str(Path(smctune.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import smctune, smctune.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

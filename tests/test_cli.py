@@ -223,6 +223,17 @@ def test_simulate_bad_record_times_exit_2(tmp_path, capsys, record, scaling, mes
     assert not (tmp_path / "trace.csv").exists()
 
 
+def test_simulate_record_too_long_exits_2(tmp_path, capsys, refuse_huge_arange):
+    # 20 bytes spanning 1e6 s: resampled at 1 ms it would be 1e9 samples
+    quake = tmp_path / "quake.csv"
+    quake.write_text("0.0,0.0\n1000000.0,1.0\n")
+    rc = main(["simulate", "--config", "quanser.json", "--quake", str(quake),
+               "--controller", "passive", "--t-end", "0.02", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "needs more than 2000000 samples" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
 @pytest.mark.parametrize("fixture, path, value, message", [
     ("quanser.json", ("floors", 0, "mass"), "1.84", "floor 1 mass must be a number"),
     ("quanser.json", ("floors", 0, "stiffness"), float("inf"), "floor 1 stiffness must be finite"),

@@ -1,6 +1,7 @@
 """Bryson weights, Riccati solve, and the pole-placement cross-check."""
 import numpy as np
 import pytest
+import scipy.linalg
 
 import smctune as st
 from smctune.errors import ConfigError, NumericalError
@@ -9,12 +10,21 @@ from conftest import make_random_plant
 PRINTED_GAIN = np.array([200.0, -1276.5, 49.0, 17.32])
 PRINTED_EIGS = np.sort_complex(np.array(
     [complex(-3.52, 6.82), complex(-3.52, -6.82), -6.77, -77.98]))
+QUANSER_MAXIMA = st.MaxValues(z1=0.05, z2=0.01, z3=0.32, z4=0.1, u=10.0)
+
+
+def assert_gain_matches_scipy(A, B, Q, r, k):
+    # scipy's CARE solver is a test oracle only; the package does not import it
+    b = np.asarray(B, dtype=float).reshape(-1, 1)
+    P_ref = scipy.linalg.solve_continuous_are(A, b, Q, np.array([[r]]))
+    k_ref = (b[:, 0] @ P_ref) / r
+    assert np.linalg.norm(k - k_ref) / np.linalg.norm(k_ref) < 1e-12
 
 
 @pytest.fixture(scope="module")
 def quanser_lqr(quanser):
     _, _, plant = quanser
-    spec = st.bryson_weights(st.MaxValues(z1=0.05, z2=0.01, z3=0.32, z4=0.1, u=10.0))
+    spec = st.bryson_weights(QUANSER_MAXIMA)
     return spec, st.solve_lqr(plant, spec)
 
 
@@ -79,6 +89,30 @@ def test_random_riccati_instances():
         P, k, eigs, residual = st.solve_riccati(A, plant.B, np.diag(q_diag), r)
         assert residual < 1e-8
         assert np.all(eigs.real < 0)
+        assert_gain_matches_scipy(A, plant.B, np.diag(q_diag), r, k)
+
+
+@pytest.mark.parametrize("building", ["quanser", "five_story"])
+def test_fixture_gains_match_scipy(request, building):
+    _, _, plant = request.getfixturevalue(building)
+    spec = st.bryson_weights(QUANSER_MAXIMA)
+    result = st.solve_lqr(plant, spec)
+    assert_gain_matches_scipy(plant.A, plant.B, spec.Q, spec.r, result.k_gain)
+
+
+@pytest.mark.parametrize("A, b, Q", [
+    (np.diag([1.0, -1.0]), [0.0, 1.0], np.eye(2)),
+    (np.array([[0.0, 1.0], [-1.0, 0.0]]), [0.0, 1.0], np.zeros((2, 2))),
+    (np.array([[np.nan, 1.0], [-1.0, 0.0]]), [0.0, 1.0], np.eye(2)),
+], ids=["uncontrollable-unstable-mode", "imaginary-axis-hamiltonian", "nan-in-A"])
+def test_non_stabilizable_inputs_raise(A, b, Q):
+    with pytest.raises(NumericalError):
+        st.solve_riccati(A, np.array(b), Q, 1.0)
+
+
+def test_mismatched_shapes_rejected():
+    with pytest.raises(ConfigError, match="n x n"):
+        st.solve_riccati(np.eye(3), np.ones(3), np.eye(2), 1.0)
 
 
 def test_ackermann_cross_check(quanser, quanser_lqr):

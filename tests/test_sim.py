@@ -304,6 +304,14 @@ def test_non_finite_simulation_inputs_rejected(five_story, quake, kwargs):
         st.simulate(plant, st.PassiveControl(), quake, **kwargs)
 
 
+@pytest.mark.parametrize("dt", [1e-9, 5e-324])
+def test_simulate_step_count_is_capped(five_story, quake, refuse_huge_arange, dt):
+    # 30 s at 1 ns is 3e10 steps; at the smallest subnormal t_end / dt is inf
+    _, _, plant = five_story
+    with pytest.raises(ConfigError, match="steps exceeds the limit of 2000000"):
+        st.simulate(plant, st.PassiveControl(), quake, 30.0, dt=dt)
+
+
 @pytest.mark.parametrize("dt", [float("nan"), float("inf"), "0.01", True])
 def test_accelerogram_interval_must_be_a_finite_number(dt):
     with pytest.raises(ConfigError):
