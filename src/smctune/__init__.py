@@ -13,8 +13,8 @@ from .sim import (Accelerogram, FeedbackLaw, LqrControl, PassiveControl, Reachin
                   SimulationTrace, SmcControl, load_accelerogram,
                   mechanical_energy, reaching_check, simulate, summarize,
                   synthetic_accelerogram, write_trace_csv)
-from .smc import (PoleSpec, SlidingDesign, ackermann_gain, control_force,
-                  design_sliding_controller, switching_gain)
+from .smc import (SlidingDesign, ackermann_gain, control_force, design_sliding_controller,
+                  switching_gain)
 from .structure import (AtmdParams, BuildingModel, BuildingSetup,
                         ExcitationBounds, ModalModel, PlantStateSpace,
                         RayleighSpec, assemble_plant, build_shear_building,

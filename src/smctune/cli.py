@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleTuningError, NumericalError
+from .errors import ConfigError, InfeasibleTuningError, NumericalError, read_json_object
 from .fixtures import fixture_path
 from .freqresp import dump_frequency_response
 from .lqr import MaxValues, bryson_weights, lqr_equivalent_polespec, solve_lqr
@@ -117,13 +117,11 @@ def cmd_tune(args) -> int:
 
 
 def _load_maxima(path: Path) -> MaxValues:
+    raw = read_json_object(path)
     try:
-        raw = json.loads(path.read_text())
         return MaxValues(z1=raw["z1_max"], z2=raw["z2_max"], z3=raw["z3_max"],
                          z4=raw["z4_max"], u=raw["u_max"])
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ConfigError(f"{path}: needs numeric z1_max..z4_max and u_max") from exc
 
 

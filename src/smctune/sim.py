@@ -9,13 +9,14 @@ linearly at the half-step times.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, finite_number
+from .errors import ConfigError, NumericalError, finite_number, read_text
 from .smc import SlidingDesign, control_force
 from .structure import AtmdParams, ModalModel, PlantStateSpace
 
@@ -74,28 +75,27 @@ def _parse_quake_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     followed by one acceleration per line. Returns (t, accel)."""
     rows = []
     dt_header = None
-    with open(path, newline="") as fh:
-        for lineno, raw in enumerate(csv.reader(fh), start=1):
-            cells = [c.strip() for c in raw if c.strip() != ""]
-            if not cells or cells[0].startswith("#"):
-                continue
-            if dt_header is None and not rows and cells[0].lower() == "dt":
-                try:
-                    dt_header = float(cells[1])
-                except (IndexError, ValueError) as exc:
-                    raise ConfigError(f"{path}:{lineno}: malformed dt header") from exc
-                dt_header = finite_number(f"{path}:{lineno}: dt header", dt_header)
-                if dt_header <= 0:
-                    raise ConfigError(f"{path}:{lineno}: dt header must be positive, "
-                                      f"got {dt_header}")
-                continue
+    for lineno, raw in enumerate(csv.reader(io.StringIO(read_text(path), newline="")), start=1):
+        cells = [c.strip() for c in raw if c.strip() != ""]
+        if not cells or cells[0].startswith("#"):
+            continue
+        if dt_header is None and not rows and cells[0].lower() == "dt":
             try:
-                values = [float(c) for c in cells]
-            except ValueError as exc:
-                if lineno == 1:  # a column-name header line is fine
-                    continue
-                raise ConfigError(f"{path}:{lineno}: non-numeric row {cells!r}") from exc
-            rows.append((lineno, values))
+                dt_header = float(cells[1])
+            except (IndexError, ValueError) as exc:
+                raise ConfigError(f"{path}:{lineno}: malformed dt header") from exc
+            dt_header = finite_number(f"{path}:{lineno}: dt header", dt_header)
+            if dt_header <= 0:
+                raise ConfigError(f"{path}:{lineno}: dt header must be positive, "
+                                  f"got {dt_header}")
+            continue
+        try:
+            values = [float(c) for c in cells]
+        except ValueError as exc:
+            if lineno == 1:  # a column-name header line is fine
+                continue
+            raise ConfigError(f"{path}:{lineno}: non-numeric row {cells!r}") from exc
+        rows.append((lineno, values))
     if not rows:
         raise ConfigError(f"{path}: no data rows found")
 
@@ -160,9 +160,17 @@ def synthetic_accelerogram(duration: float = 40.0, dt: float = 0.02, seed: int =
     Band-limited Gaussian noise (flat between the band edges, raised-cosine
     roll-off) shaped by a rise/strong/decay envelope. Useful when no recorded
     ground motion is at hand; any real record in CSV form can be used instead.
+    duration and dt must be positive and give at most MAX_RECORD_SAMPLES samples.
     """
+    duration, dt = finite_number("duration", duration), finite_number("dt", dt)
+    if duration <= 0 or dt <= 0:
+        raise ConfigError(f"duration and dt must be positive, got {duration} and {dt}")
+    samples = np.rint(duration / dt) + 1.0
+    if not samples <= MAX_RECORD_SAMPLES:  # also inf
+        raise ConfigError(f"a {duration:g} s record at {dt:g} s has {samples:.4g} samples, "
+                          f"above the limit of {MAX_RECORD_SAMPLES}")
+    n = int(samples)
     rng = np.random.default_rng(seed)
-    n = int(round(duration / dt)) + 1
     t = np.arange(n) * dt
     spectrum = np.fft.rfft(rng.standard_normal(n))
     freq = np.fft.rfftfreq(n, dt)

@@ -25,7 +25,6 @@ from .errors import ConfigError, NumericalError, finite_number
 from .structure import PlantStateSpace, controllability_matrix
 
 __all__ = [
-    "PoleSpec",
     "SlidingDesign",
     "DesignBatch",
     "real_poles",
@@ -66,61 +65,14 @@ REJECT_MESSAGES = (
 
 
 @dataclass(frozen=True)
-class PoleSpec:
-    """Closed-loop pole layout: a dominant conjugate pair plus two real poles.
-
-    lambda1/lambda2 = -zeta*omega_n -/+ j*omega_d form the dominant pair.
-    lambda3 defaults to -3*zeta*omega_n, far enough left to barely affect the
-    dominant transient. lambda4 only shapes the reaching phase (the sliding
-    dynamics are independent of it); the default keeps it well separated.
-    """
+class SlidingDesign:
+    """One sliding design, a row of a DesignBatch: pole layout, sliding vector,
+    gain and reduced model, plus the relay's boundary layer and gain."""
 
     zeta: float
     omega_n: float          # rad/s
-    lambda3: float = None   # filled from zeta/omega_n when omitted
-    lambda4: float = None
-
-    def __post_init__(self):
-        zeta, omega_n = finite_number("zeta", self.zeta), finite_number("omega_n", self.omega_n)
-        if not 0.0 < zeta < 1.0:
-            raise ConfigError(f"zeta must lie in (0, 1), got {zeta}")
-        if omega_n <= 0.0:
-            raise ConfigError(f"omega_n must be positive, got {omega_n}")
-        lambda3, lambda4 = real_poles(zeta, omega_n)
-        if self.lambda3 is not None:
-            lambda3 = finite_number("lambda3", self.lambda3)
-        if self.lambda4 is not None:
-            lambda4 = finite_number("lambda4", self.lambda4)
-        if lambda3 >= 0.0 or lambda4 >= 0.0:
-            raise ConfigError("lambda3 and lambda4 must be real and negative")
-        for name, value in (("zeta", zeta), ("omega_n", omega_n),
-                            ("lambda3", lambda3), ("lambda4", lambda4)):
-            object.__setattr__(self, name, value)
-
-    @property
-    def omega_d(self) -> float:
-        return self.lambda2.imag
-
-    @property
-    def lambda1(self) -> complex:
-        return complex(dominant_pair(self.zeta, self.omega_n)[0])
-
-    @property
-    def lambda2(self) -> complex:
-        return complex(dominant_pair(self.zeta, self.omega_n)[1])
-
-    def sliding_poles(self) -> tuple[complex, complex, float]:
-        return (self.lambda1, self.lambda2, self.lambda3)
-
-    def all_poles(self) -> tuple[complex, complex, float, float]:
-        return (self.lambda1, self.lambda2, self.lambda3, self.lambda4)
-
-
-@dataclass(frozen=True)
-class SlidingDesign:
-    """One sliding design, a row of a DesignBatch: sliding vector, gain, reduced model."""
-
-    poles: PoleSpec
+    lambda3: float
+    lambda4: float
     eta: np.ndarray
     k_gain: np.ndarray
     alpha1: float
@@ -136,12 +88,8 @@ class SlidingDesign:
 
     def to_dict(self) -> dict:
         return {
-            "poles": {
-                "zeta": self.poles.zeta,
-                "omega_n": self.poles.omega_n,
-                "lambda3": self.poles.lambda3,
-                "lambda4": self.poles.lambda4,
-            },
+            "poles": {name: getattr(self, name)
+                      for name in ("zeta", "omega_n", "lambda3", "lambda4")},
             "eta": [float(x) for x in self.eta],
             "k_gain": [float(x) for x in self.k_gain],
             "alpha1": self.alpha1,
@@ -155,10 +103,10 @@ class SlidingDesign:
 class DesignBatch:
     """Sliding designs for a stack of pole layouts, row i for layout i.
 
-    The fields are those of SlidingDesign with a leading row axis. ``reject``
-    is 0 for a row that passed every design check, otherwise the index of
-    the first failed check in REJECT_MESSAGES; rejected rows hold whatever the
-    arithmetic gave and must not be used.
+    The fields are those of SlidingDesign but epsilon and M0, with a leading
+    row axis, plus ``reject``: 0 for a row that passed every design check,
+    otherwise the index of the first failed check in REJECT_MESSAGES.
+    Rejected rows hold whatever the arithmetic gave and must not be used.
     """
 
     zeta: np.ndarray        # (m,)
@@ -177,19 +125,9 @@ class DesignBatch:
     @classmethod
     def of(cls, design: SlidingDesign) -> "DesignBatch":
         """A stack of one holding ``design``."""
-        p = design.poles
-        return cls(
-            zeta=np.array([p.zeta], dtype=float), omega_n=np.array([p.omega_n], dtype=float),
-            lambda3=np.array([p.lambda3], dtype=float),
-            lambda4=np.array([p.lambda4], dtype=float),
-            eta=np.asarray(design.eta, dtype=float)[None],
-            k_gain=np.asarray(design.k_gain, dtype=float)[None],
-            alpha1=np.array([design.alpha1], dtype=float),
-            alpha2=np.array([design.alpha2], dtype=float),
-            A1=np.asarray(design.A1, dtype=float)[None],
-            B1=np.asarray(design.B1, dtype=float)[None],
-            nu1=np.asarray(design.nu1, dtype=float)[None],
-            reject=np.zeros(1, dtype=int))
+        return cls(**{f.name: np.asarray(getattr(design, f.name), dtype=float)[None]
+                      for f in fields(cls) if f.name != "reject"},
+                   reject=np.zeros(1, dtype=int))
 
     def take(self, rows) -> "DesignBatch":
         """The stack of the selected rows (index array or boolean mask)."""
@@ -200,30 +138,26 @@ class DesignBatch:
         code = int(self.reject[i])
         if code:
             raise NumericalError(REJECT_MESSAGES[code])
-        poles = PoleSpec(zeta=float(self.zeta[i]), omega_n=float(self.omega_n[i]),
-                         lambda3=float(self.lambda3[i]), lambda4=float(self.lambda4[i]))
-        return SlidingDesign(
-            poles=poles, eta=self.eta[i].copy(), k_gain=self.k_gain[i].copy(),
-            alpha1=float(self.alpha1[i]), alpha2=float(self.alpha2[i]),
-            A1=self.A1[i].copy(), B1=self.B1[i].copy(), nu1=self.nu1[i].copy(),
-            epsilon=epsilon)
+        row = {f.name: getattr(self, f.name)[i] for f in fields(self) if f.name != "reject"}
+        return SlidingDesign(**{name: float(v) if v.ndim == 0 else v.copy()
+                                for name, v in row.items()}, epsilon=epsilon)
 
 
-def real_poles(zeta, omega_n, lambda4_factor: float = LAMBDA4_FACTOR):
+def real_poles(zeta, omega_n):
     """(lambda3, lambda4) of a grid point, for scalars or arrays alike.
 
-    lambda3 = -LAMBDA3_FACTOR zeta omega_n and lambda4 = -lambda4_factor
+    lambda3 = -LAMBDA3_FACTOR zeta omega_n and lambda4 = -LAMBDA4_FACTOR
     zeta omega_n: the one rule by which a (zeta, omega_n) point gets its real
-    poles, in PoleSpec's defaults, TuningConfig.poles and the scan.
+    poles, in the scan and in the defaults of design_sliding_controller.
     """
-    return -LAMBDA3_FACTOR * zeta * omega_n, -lambda4_factor * zeta * omega_n
+    return -LAMBDA3_FACTOR * zeta * omega_n, -LAMBDA4_FACTOR * zeta * omega_n
 
 
 def dominant_pair(zeta, omega_n):
     """(lambda1, lambda2) = -zeta omega_n -/+ j omega_n sqrt(1 - zeta^2).
 
     Scalars or arrays; either way the same elementwise operations, so a
-    scan row and a PoleSpec of the same point agree bit for bit.
+    scan row and a single design of the same point agree bit for bit.
     """
     real, imag = -zeta * omega_n, omega_n * np.sqrt(1.0 - zeta * zeta)
     return real - 1j * imag, real + 1j * imag
@@ -450,13 +384,27 @@ def control_force(sigma: float, M0: float, epsilon: float = 0.05) -> float:
     return -M0 * sigma / epsilon
 
 
-def design_sliding_controller(plant: PlantStateSpace, poles: PoleSpec,
+def design_sliding_controller(plant: PlantStateSpace, zeta: float, omega_n: float,
+                              lambda3: float | None = None, lambda4: float | None = None,
                               epsilon: float = 0.05) -> SlidingDesign:
     """Synthesize the complete sliding design for one pole layout.
 
-    This is ``design_batch`` with a stack of one. The switching gain is left
-    unset; it depends on the excitation band analysis (see
-    freqresp.band_table and switching_gain).
+    The dominant pair has damping 0 < zeta < 1 and natural frequency
+    omega_n > 0 (rad/s); lambda3 and lambda4 must be negative and default to
+    the scan's rule (``real_poles``). lambda3 sets the third sliding pole;
+    lambda4 only shapes the reaching phase. Each value must be a finite
+    number, or ConfigError. This is ``design_batch`` with a stack of one. The
+    switching gain is left unset; it depends on the excitation band analysis
+    (see freqresp.band_table and switching_gain).
     """
-    batch = design_batch(plant, poles.zeta, poles.omega_n, poles.lambda3, poles.lambda4)
-    return batch.design(0, epsilon)
+    zeta, omega_n = finite_number("zeta", zeta), finite_number("omega_n", omega_n)
+    if not 0.0 < zeta < 1.0:
+        raise ConfigError(f"zeta must lie in (0, 1), got {zeta}")
+    if omega_n <= 0.0:
+        raise ConfigError(f"omega_n must be positive, got {omega_n}")
+    default3, default4 = real_poles(zeta, omega_n)
+    lambda3 = default3 if lambda3 is None else finite_number("lambda3", lambda3)
+    lambda4 = default4 if lambda4 is None else finite_number("lambda4", lambda4)
+    if lambda3 >= 0.0 or lambda4 >= 0.0:
+        raise ConfigError("lambda3 and lambda4 must be real and negative")
+    return design_batch(plant, zeta, omega_n, lambda3, lambda4).design(0, epsilon)

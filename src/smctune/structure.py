@@ -7,13 +7,11 @@ velocities.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, finite_number
+from .errors import ConfigError, NumericalError, finite_number, read_json_object
 
 __all__ = [
     "RayleighSpec",
@@ -352,7 +350,7 @@ def _number(cfg: dict, key: str, context: str) -> float:
 
 
 def load_building_config(source) -> BuildingSetup:
-    """Parse a building description from JSON (path, file object, or dict).
+    """Parse a building description from JSON (path, or dict already parsed).
 
     Schema::
 
@@ -368,20 +366,9 @@ def load_building_config(source) -> BuildingSetup:
     All numbers SI.
     """
     if isinstance(source, dict):
-        cfg = source
-        context = "building config"
+        cfg, context = source, "building config"
     else:
-        path = Path(source)
-        context = str(path)
-        try:
-            cfg = json.loads(path.read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
-                              f"{exc.msg}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{context}: top level must be an object")
+        cfg, context = read_json_object(source), str(source)
 
     floors = _require(cfg, "floors", context)
     if not isinstance(floors, list) or not floors:

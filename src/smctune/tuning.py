@@ -17,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleTuningError, finite_number
+from .errors import ConfigError, InfeasibleTuningError, finite_number, read_json_object
 from .freqresp import DEFAULT_BAND, DEFAULT_SAMPLES, band_table, transfer_batch, zero_rows
-from .smc import (LAMBDA4_FACTOR, PoleSpec, SlidingDesign, ackermann_rows, design_batch,
-                  dominant_pair, real_poles, sliding_vectors, switching_gain)
+from .smc import (SlidingDesign, ackermann_rows, design_batch, dominant_pair, real_poles,
+                  sliding_vectors, switching_gain)
 from .structure import ModalModel, PlantStateSpace
 
 __all__ = [
@@ -45,7 +45,7 @@ MAX_GRID_POINTS = 250_000
 MAX_SAMPLES = 100_000
 
 _REAL_FIELDS = ("zeta_l", "zeta_u", "delta_zeta", "omega_nl", "omega_nu", "delta_omega",
-                "gamma1", "gamma2", "varsigma", "epsilon", "lambda4_factor")
+                "gamma1", "gamma2", "varsigma", "epsilon")
 
 INFEASIBLE_MESSAGE = ("no feasible sliding design for this initialization; "
                       "relax the kappa ceilings or widen the zeta/omega_n ranges")
@@ -73,8 +73,8 @@ class TuningConfig:
     """Search ranges, zero-distance factors, response ceilings, and the index.
 
     omega_nl/omega_nu/delta_omega are expressed as multiples of the dominant
-    structural frequency omega0; zeta is dimensionless. lambda4 only matters
-    for the reaching analysis and is set to -lambda4_factor*zeta*omega_n.
+    structural frequency omega0; zeta is dimensionless. Each grid point gets
+    its real poles lambda3 and lambda4 by ``smc.real_poles``.
     Every field is checked here, so a config that loads can be scanned: all
     numbers finite, 0 < zeta_l < zeta_u < 1, 0 < omega_nl < omega_nu, a band
     with lower < upper, 2 <= n_samples <= MAX_SAMPLES, and at most
@@ -95,7 +95,6 @@ class TuningConfig:
     n_samples: int = DEFAULT_SAMPLES
     varsigma: float = 0.5
     epsilon: float = 0.05
-    lambda4_factor: float = LAMBDA4_FACTOR
 
     def __post_init__(self):
         if not isinstance(self.kappa_bars, KappaBounds):
@@ -132,8 +131,6 @@ class TuningConfig:
             raise ConfigError(f"index must be one of {INDEX_CHOICES}, got {self.index!r}")
         if self.varsigma <= 0 or self.epsilon <= 0:
             raise ConfigError("varsigma and epsilon must be positive")
-        if self.lambda4_factor <= 0:
-            raise ConfigError("lambda4_factor must be positive")
         points = (_axis_count(self.zeta_l, self.zeta_u, self.delta_zeta)
                   * _axis_count(self.omega_nl, self.omega_nu, self.delta_omega))
         if points > MAX_GRID_POINTS:
@@ -145,11 +142,6 @@ class TuningConfig:
 
     def omega_ratios(self) -> np.ndarray:
         return _inclusive_grid(self.omega_nl, self.omega_nu, self.delta_omega)
-
-    def poles(self, zeta: float, omega_n: float) -> PoleSpec:
-        """Pole layout of one grid point, by the scan's rule (``real_poles``)."""
-        lambda3, lambda4 = real_poles(zeta, omega_n, self.lambda4_factor)
-        return PoleSpec(zeta=zeta, omega_n=omega_n, lambda3=lambda3, lambda4=lambda4)
 
     def to_dict(self) -> dict:
         return {**asdict(self), "band": list(self.band)}
@@ -167,17 +159,7 @@ def _inclusive_grid(lo: float, hi: float, step: float) -> np.ndarray:
 
 def load_tuning_config(source) -> TuningConfig:
     """Parse a TuningConfig from JSON (path, or dict already parsed)."""
-    if isinstance(source, dict):
-        cfg = dict(source)
-    else:
-        path = Path(source)
-        try:
-            cfg = json.loads(path.read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column "
-                              f"{exc.colno}: {exc.msg}") from exc
+    cfg = dict(source) if isinstance(source, dict) else read_json_object(source)
     if "kappa_bars" not in cfg:
         raise ConfigError("tuning config needs a 'kappa_bars' object")
     bars = cfg.pop("kappa_bars")
@@ -301,7 +283,7 @@ def tune(plant: PlantStateSpace, modal: ModalModel, config: TuningConfig) -> Tun
     zeta = np.repeat(zetas, len(ratios))          # zeta-major scan order
     ratio = np.tile(ratios, len(zetas))
     omega_n = ratio * omega0
-    lambda3, lambda4 = real_poles(zeta, omega_n, config.lambda4_factor)
+    lambda3, lambda4 = real_poles(zeta, omega_n)
 
     rows = ackermann_rows(plant)
     psi1, psi2, defined = zero_rows(sliding_vectors(rows, zeta, omega_n, lambda3))

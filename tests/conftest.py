@@ -195,19 +195,20 @@ def scalar_path_mismatches(result: st.TuningResult, plant: st.PlantStateSpace) -
     """What of a batched scan differs from each design computed alone.
 
     Every feasible tuple is rebuilt as a stack of one through
-    ``config.poles``, ``design_sliding_controller``, ``DesignBatch.of``,
-    ``zero_rows``, ``transfer_batch`` and ``band_table``, and the winner's
-    chi and M0 through ``band_table`` and ``switching_gain``; any field that
-    is not bit-identical is named in the returned list.
+    ``design_sliding_controller`` (with its default lambdas),
+    ``DesignBatch.of``, ``zero_rows``, ``transfer_batch`` and ``band_table``,
+    and the winner's chi and M0 through ``band_table`` and
+    ``switching_gain``; any field that is not bit-identical is named in the
+    returned list.
     """
     config, delta = result.config, plant.bounds.delta
     band, n = config.band, config.n_samples
     mismatches = []
     for i, t in enumerate(result.tuples):
-        poles = config.poles(t.zeta, t.omega_n)
-        if (t.lambda1, t.lambda2, t.lambda3) != (poles.lambda1, poles.lambda2, poles.lambda3):
+        design = st.design_sliding_controller(plant, t.zeta, t.omega_n, epsilon=config.epsilon)
+        lambdas = (*st.smc.dominant_pair(design.zeta, design.omega_n), design.lambda3)
+        if (t.lambda1, t.lambda2, t.lambda3) != lambdas:
             mismatches.append(f"tuple {i}: lambda1, lambda2, lambda3")
-        design = st.design_sliding_controller(plant, poles, epsilon=config.epsilon)
         if not np.array_equal(design.eta, t.eta):
             mismatches.append(f"tuple {i}: eta")
         (psi1,), (psi2,), (defined,) = st.freqresp.zero_rows(design.eta[None])
@@ -217,7 +218,7 @@ def scalar_path_mismatches(result: st.TuningResult, plant: st.PlantStateSpace) -
         if tuple(kappas) != (t.kappa1, t.kappa2, t.kappa3, t.kappa_u):
             mismatches.append(f"tuple {i}: kappas")
     best = result.best
-    design = st.design_sliding_controller(plant, config.poles(best.zeta, best.omega_n),
+    design = st.design_sliding_controller(plant, best.zeta, best.omega_n,
                                           epsilon=config.epsilon)
     if not (np.array_equal(design.eta, result.design.eta)
             and np.array_equal(design.k_gain, result.design.k_gain)):
@@ -230,9 +231,15 @@ def scalar_path_mismatches(result: st.TuningResult, plant: st.PlantStateSpace) -
     return mismatches
 
 
-def make_random_poles(rng: np.random.Generator) -> st.PoleSpec:
-    return st.PoleSpec(zeta=rng.uniform(0.2, 0.95), omega_n=rng.uniform(1.0, 10.0),
-                       lambda3=-rng.uniform(1.0, 8.0), lambda4=-rng.uniform(5.0, 30.0))
+def make_random_poles(rng: np.random.Generator) -> dict[str, float]:
+    """A random pole layout as the keyword arguments of ``design_sliding_controller``."""
+    return dict(zeta=rng.uniform(0.2, 0.95), omega_n=rng.uniform(1.0, 10.0),
+                lambda3=-rng.uniform(1.0, 8.0), lambda4=-rng.uniform(5.0, 30.0))
+
+
+def all_poles(zeta, omega_n, lambda3, lambda4) -> tuple:
+    """The four closed-loop poles of a layout: the dominant pair, lambda3, lambda4."""
+    return (*st.smc.dominant_pair(zeta, omega_n), lambda3, lambda4)
 
 
 def reference_rk4(plant: st.PlantStateSpace, controller, quake: st.Accelerogram, t_end: float,

@@ -289,3 +289,43 @@ def test_lqr_maxima_non_finite_or_non_numeric_exits_2(tmp_path, capsys, value, c
     assert rc == 2
     assert "z1" in capsys.readouterr().err
     assert not out.exists()
+
+
+NOT_UTF8 = b'{"label": "caf\xe9"}'
+
+
+@pytest.mark.parametrize("role, content", [
+    ("tuning", b"5"),
+    ("tuning", b"null"),
+    ("tuning", NOT_UTF8),
+    ("tuning", b"[" * 100_000 + b"]" * 100_000),
+    ("building", NOT_UTF8),
+    ("maxima", NOT_UTF8),
+    ("maxima", None),
+    ("quake", None),
+    ("quake", b"t,accel\n0.0,0.0\n0.02,1.0\xff\n"),
+], ids=["tuning-number", "tuning-null", "tuning-not-utf8", "tuning-nested-too-deep",
+        "building-not-utf8", "maxima-not-utf8", "maxima-directory", "quake-directory",
+        "quake-not-utf8"])
+def test_unreadable_input_file_exits_2(tmp_path, capsys, role, content):
+    # no bad file may escape as a traceback; None puts a directory in its place
+    path = tmp_path / "input"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    files = {"building": "quanser.json", "tuning": "quanser_tuning.json",
+             "maxima": "quanser_lqr_maxima.json", "quake": "synthetic_quake.csv",
+             role: str(path)}
+    out = tmp_path / "out"
+    if role == "tuning":
+        argv = ["tune", "--tuning", files["tuning"]]
+    elif role == "maxima":
+        argv = ["lqr", "--maxima", files["maxima"]]
+    else:
+        argv = ["simulate", "--quake", files["quake"], "--controller", "passive",
+                "--t-end", "0.02"]
+    rc = main(argv + ["--config", files["building"], "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

@@ -211,8 +211,7 @@ def test_bundled_fixture_loads():
 
 def test_smc_controller_requires_gain(five_story):
     _, modal, plant = five_story
-    design = st.design_sliding_controller(
-        plant, st.PoleSpec(zeta=0.5, omega_n=0.5 * modal.omega0))
+    design = st.design_sliding_controller(plant, zeta=0.5, omega_n=0.5 * modal.omega0)
     with pytest.raises(ConfigError):
         st.SmcControl(design)
 
@@ -338,3 +337,12 @@ def test_trace_csv_matches_per_cell_writer(tmp_path):
     reference_trace_csv(trace, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     assert "-0.0," in (tmp_path / "new.csv").read_text()
+
+
+@pytest.mark.parametrize("kwargs", [{"duration": 1e6, "dt": 1e-3}, {"duration": float("nan")},
+                                    {"dt": 0.0}, {"duration": -1.0}],
+                         ids=["too-long", "nan-duration", "zero-dt", "negative-duration"])
+def test_synthetic_accelerogram_inputs_rejected(refuse_huge_arange, kwargs):
+    # 1e6 s at 1 ms would be 1e9 samples
+    with pytest.raises(ConfigError):
+        st.synthetic_accelerogram(**kwargs)

@@ -150,7 +150,7 @@ def test_saved_tuples_revalidate_bit_for_bit(five_story, tune_five_jz2):
     result = tune_five_jz2.result
     config = result.config
     for t in result.tuples[:: max(1, len(result.tuples) // 25)]:
-        design = st.design_sliding_controller(plant, config.poles(t.zeta, t.omega_n),
+        design = st.design_sliding_controller(plant, t.zeta, t.omega_n,
                                               epsilon=config.epsilon)
         assert np.array_equal(design.eta, t.eta)
         (psi1,), (psi2,), (defined,) = st.freqresp.zero_rows(design.eta[None])
@@ -268,7 +268,7 @@ def test_design_check_rejections_reach_the_scan(quanser, quanser_tuning, monkeyp
     _, modal, plant = quanser
     monkeypatch.setattr(st.smc, "POLE_PLACEMENT_TOL", -1.0)
     with pytest.raises(st.NumericalError, match="pole placement"):
-        st.design_sliding_controller(plant, quanser_tuning.poles(0.5, 0.5 * modal.omega0))
+        st.design_sliding_controller(plant, 0.5, 0.5 * modal.omega0)
     result = st.tune(plant, modal, quanser_tuning)
     assert not result.feasible and result.feasible_count == 0
 
