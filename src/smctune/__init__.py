@@ -21,7 +21,7 @@ from .structure import (AtmdParams, BuildingModel, BuildingSetup,
                         controllability_matrix, controllability_rcond,
                         load_building_config, modal_reduce, natural_modes,
                         plant_from_setup, rayleigh_damping)
-from .tuning import (KappaBounds, TuningConfig, TuningResult, TuningTuple,
-                     export_mesh, feasible_region, load_tuning_config, tune)
+from .tuning import (KappaBounds, TuningConfig, TuningResult, export_mesh, feasible_region,
+                     load_tuning_config, tune)
 
 __version__ = "0.1.0"

@@ -104,13 +104,13 @@ def cmd_tune(args) -> int:
         print(f"infeasible: {result.message}", file=sys.stderr)
         return EXIT_INFEASIBLE
     export_mesh(result, out / "mesh.csv")
-    best = result.best
+    best, design = result.best, result.design
     print(f"feasible points: {result.feasible_count}")
-    print(f"best ({config.index}): zeta = {best.zeta:.2f}, "
-          f"omega_n = {best.omega_ratio:.2f} * omega0 = {best.omega_n:.4f} rad/s")
-    print(f"eta = {np.array2string(best.eta, precision=4)}")
-    print(f"kappa = [{100 * best.kappa1:.2f} cm, {1000 * best.kappa2:.3f} mm, "
-          f"{100 * best.kappa3:.2f} cm/s, {best.kappa_u:.3f} N]")
+    print(f"best ({config.index}): zeta = {design.zeta:.2f}, "
+          f"omega_n = {best['omega_ratio']:.2f} * omega0 = {design.omega_n:.4f} rad/s")
+    print(f"eta = {np.array2string(design.eta, precision=4)}")
+    print(f"kappa = [{100 * best['kappa1']:.2f} cm, {1000 * best['kappa2']:.3f} mm, "
+          f"{100 * best['kappa3']:.2f} cm/s, {best['kappa_u']:.3f} N]")
     print(f"chi = {result.chi:.4f} N   M0 = {result.M0:.4f} N")
     print(f"wrote {out / 'result.json'} and {out / 'mesh.csv'}")
     return EXIT_OK

@@ -261,10 +261,6 @@ class SimulationTrace:
     xg: np.ndarray       # ground acceleration at the grid times, m/s^2
     label: str = ""
 
-    @property
-    def dt(self) -> float:
-        return float(self.t[1] - self.t[0])
-
     def channel(self, name: str) -> np.ndarray:
         idx = {"z1": 0, "z2": 1, "z3": 2, "z4": 3}
         if name in idx:
@@ -281,10 +277,11 @@ def simulate(plant: PlantStateSpace, controller: FeedbackLaw, quake: Accelerogra
              z0=None) -> SimulationTrace:
     """Fixed-step RK4 run from rest (or ``z0``) for ``t_end`` seconds.
 
-    ``dt`` defaults to the record's sample interval. The controller gives
-    the force once per step, and it is held; friction and excitation vary
-    inside the step. The step runs on Python floats, with every sum in a
-    fixed order, so repeated runs are bit-identical.
+    ``dt`` defaults to the record's sample interval, and ``z0`` must be four
+    finite numbers. The controller gives the force once per step, and it is
+    held; friction and excitation vary inside the step. The step runs on
+    Python floats, with every sum in a fixed order, so repeated runs are
+    bit-identical.
     """
     if not isinstance(controller, FeedbackLaw):
         raise ConfigError(f"unknown controller type {type(controller).__name__}")
@@ -309,11 +306,12 @@ def simulate(plant: PlantStateSpace, controller: FeedbackLaw, quake: Accelerogra
     t_half = 0.5 * dt * np.arange(2 * n + 1)
     xg_half = np.interp(t_half, quake.time(), quake.samples)
 
-    z = np.zeros(4) if z0 is None else np.asarray(z0, dtype=float)
-    if z.shape != (4,):
-        raise ConfigError("z0 must have 4 entries")
-    if not np.all(np.isfinite(z)):
-        raise ConfigError("z0 must be finite")
+    try:
+        z = [0.0] * 4 if z0 is None else [finite_number("z0 entry", v) for v in z0]
+    except TypeError:  # not iterable
+        z = []
+    if len(z) != 4:
+        raise ConfigError(f"z0 must be 4 finite numbers, got {z0!r}")
 
     Z = np.empty((n + 1, 4))
     U = np.empty(n + 1)
@@ -337,7 +335,7 @@ def simulate(plant: PlantStateSpace, controller: FeedbackLaw, quake: Accelerogra
                 ((a20 * y0 + a22 * y2) + (a21 * y1 + a23 * y3)) + b2 * f + d2 * x,
                 ((a30 * y0 + a32 * y2) + (a31 * y1 + a33 * y3)) + b3 * f + d3 * x)
 
-    y0, y1, y2, y3 = z.tolist()
+    y0, y1, y2, y3 = z
     zv[0], zv[1], zv[2], zv[3] = y0, y1, y2, y3
     half = 0.5 * dt
     sixth = dt / 6.0

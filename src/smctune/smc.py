@@ -392,8 +392,9 @@ def design_sliding_controller(plant: PlantStateSpace, zeta: float, omega_n: floa
     The dominant pair has damping 0 < zeta < 1 and natural frequency
     omega_n > 0 (rad/s); lambda3 and lambda4 must be negative and default to
     the scan's rule (``real_poles``). lambda3 sets the third sliding pole;
-    lambda4 only shapes the reaching phase. Each value must be a finite
-    number, or ConfigError. This is ``design_batch`` with a stack of one. The
+    lambda4 only shapes the reaching phase, and epsilon, the relay's boundary
+    layer, must be positive. Each value must be a finite number, or
+    ConfigError. This is ``design_batch`` with a stack of one. The
     switching gain is left unset; it depends on the excitation band analysis
     (see freqresp.band_table and switching_gain).
     """
@@ -407,4 +408,7 @@ def design_sliding_controller(plant: PlantStateSpace, zeta: float, omega_n: floa
     lambda4 = default4 if lambda4 is None else finite_number("lambda4", lambda4)
     if lambda3 >= 0.0 or lambda4 >= 0.0:
         raise ConfigError("lambda3 and lambda4 must be real and negative")
+    epsilon = finite_number("epsilon", epsilon)
+    if epsilon <= 0.0:
+        raise ConfigError(f"epsilon must be positive, got {epsilon}")
     return design_batch(plant, zeta, omega_n, lambda3, lambda4).design(0, epsilon)

@@ -19,14 +19,13 @@ import numpy as np
 
 from .errors import ConfigError, InfeasibleTuningError, finite_number, read_json_object
 from .freqresp import DEFAULT_BAND, DEFAULT_SAMPLES, band_table, transfer_batch, zero_rows
-from .smc import (SlidingDesign, ackermann_rows, design_batch, dominant_pair, real_poles,
-                  sliding_vectors, switching_gain)
+from .smc import (DesignBatch, SlidingDesign, ackermann_rows, design_batch, dominant_pair,
+                  real_poles, sliding_vectors, switching_gain)
 from .structure import ModalModel, PlantStateSpace
 
 __all__ = [
     "KappaBounds",
     "TuningConfig",
-    "TuningTuple",
     "TuningResult",
     "load_tuning_config",
     "tune",
@@ -35,6 +34,8 @@ __all__ = [
 ]
 
 INDEX_CHOICES = ("jz2", "ju")
+#: the columns of TuningResult.kappa, in band_table's channel order
+KAPPA_NAMES = ("kappa1", "kappa2", "kappa3", "kappa_u")
 
 #: most (zeta, omega_n) points one scan may cover; the scan holds a few
 #: numbers per point at once (a 0.001 step over both fixture ranges is
@@ -61,7 +62,7 @@ class KappaBounds:
     kappa_u: float
 
     def __post_init__(self):
-        for name in ("kappa1", "kappa2", "kappa3", "kappa_u"):
+        for name in KAPPA_NAMES:
             value = finite_number(f"{name} ceiling", getattr(self, name))
             if value <= 0:
                 raise ConfigError(f"{name} ceiling must be positive")
@@ -176,54 +177,23 @@ def load_tuning_config(source) -> TuningConfig:
 
 
 @dataclass(frozen=True)
-class TuningTuple:
-    """One feasible grid point: pole layout, sliding vector, and its metrics."""
-
-    zeta: float
-    omega_n: float          # rad/s
-    omega_ratio: float      # omega_n / omega0
-    eta: np.ndarray
-    kappa1: float
-    kappa2: float
-    kappa3: float
-    kappa_u: float
-    lambda1: complex
-    lambda2: complex
-    lambda3: float
-    psi1: float
-    psi2: float
-
-    def index_value(self, index: str) -> float:
-        return self.kappa2 if index == "jz2" else self.kappa_u
-
-    def to_dict(self) -> dict:
-        return {
-            "zeta": self.zeta,
-            "omega_n": self.omega_n,
-            "omega_ratio": self.omega_ratio,
-            "eta": [float(x) for x in self.eta],
-            "kappa1": self.kappa1, "kappa2": self.kappa2,
-            "kappa3": self.kappa3, "kappa_u": self.kappa_u,
-            "lambda1": [self.lambda1.real, self.lambda1.imag],
-            "lambda2": [self.lambda2.real, self.lambda2.imag],
-            "lambda3": self.lambda3,
-            "psi1": self.psi1, "psi2": self.psi2,
-        }
-
-
-@dataclass(frozen=True)
 class TuningResult:
-    """Outcome of the grid scan.
+    """Outcome of the grid scan: its feasible rows as stacked arrays.
 
-    ``tuples`` holds every feasible candidate in scan order (zeta-major).
-    ``best_index`` points into it; an empty scan leaves it None together with
-    an explanatory message. The winning design carries the switching gain M0
-    derived from the force peak chi.
+    Row i of ``designs`` (a DesignBatch), ``omega_ratio`` (omega_n / omega0)
+    and ``kappa`` (columns kappa1, kappa2, kappa3, kappa_u) is the i-th
+    feasible grid point in scan order (zeta-major). ``best_index`` points
+    into these rows; an empty scan leaves them empty and ``best_index`` None,
+    with an explanatory message. The winning design carries the switching
+    gain M0 derived from the force peak chi. ``rows()`` gives the rows as the
+    dicts ``result.json`` stores, and ``best`` the winner's.
     """
 
     config: TuningConfig
     omega0: float
-    tuples: tuple[TuningTuple, ...]
+    designs: DesignBatch
+    omega_ratio: np.ndarray     # (m,)
+    kappa: np.ndarray           # (m, 4)
     best_index: int | None = None
     design: SlidingDesign | None = None
     chi: float | None = None
@@ -236,14 +206,33 @@ class TuningResult:
 
     @property
     def feasible_count(self) -> int:
-        return len(self.tuples)
+        return len(self.omega_ratio)
 
     @property
-    def best(self) -> TuningTuple | None:
-        return None if self.best_index is None else self.tuples[self.best_index]
+    def best(self) -> dict | None:
+        return None if self.best_index is None else self.rows()[self.best_index]
+
+    def rows(self) -> list[dict]:
+        """One dict per feasible row: pole layout, sliding vector, kappas, zeros.
+
+        lambda1 and lambda2 (as [real, imag]) come from ``dominant_pair`` and
+        psi1 and psi2 from ``zero_rows``, over the whole stack at once; both
+        are elementwise, so the values equal those of the scan bit for bit.
+        """
+        d = self.designs
+        lambda1, lambda2 = dominant_pair(d.zeta, d.omega_n)
+        psi1, psi2, _ = zero_rows(d.eta)
+        columns = {"zeta": d.zeta, "omega_n": d.omega_n, "omega_ratio": self.omega_ratio,
+                   "eta": d.eta, "lambda1": np.column_stack((lambda1.real, lambda1.imag)),
+                   "lambda2": np.column_stack((lambda2.real, lambda2.imag)),
+                   "lambda3": d.lambda3, "psi1": psi1, "psi2": psi2,
+                   **{name: self.kappa[:, c] for c, name in enumerate(KAPPA_NAMES)}}
+        lists = {name: column.tolist() for name, column in columns.items()}
+        return [dict(zip(lists, row)) for row in zip(*lists.values())]
 
     def to_dict(self) -> dict:
         region = feasible_region(self) if self.feasible else None
+        rows = self.rows()
         return {
             "config": self.config.to_dict(),
             "omega0": self.omega0,
@@ -251,21 +240,17 @@ class TuningResult:
             "feasible_count": self.feasible_count,
             "message": self.message,
             "best_index": self.best_index,
-            "best": None if self.best is None else self.best.to_dict(),
+            "best": None if self.best_index is None else rows[self.best_index],
             "design": None if self.design is None else self.design.to_dict(),
             "chi": self.chi,
             "M0": self.M0,
             "feasible_zeta_range": None if region is None else list(region["zeta"]),
             "feasible_omega_range": None if region is None else list(region["omega_ratio"]),
-            "tuples": [t.to_dict() for t in self.tuples],
+            "tuples": rows,
         }
 
     def to_json(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
-
-
-def _span(values) -> tuple[float, float]:
-    return float(min(values)), float(max(values))
 
 
 def tune(plant: PlantStateSpace, modal: ModalModel, config: TuningConfig) -> TuningResult:
@@ -274,9 +259,11 @@ def tune(plant: PlantStateSpace, modal: ModalModel, config: TuningConfig) -> Tun
     One batched pass: the zero screen on the sliding vectors of every grid
     point, then ``design_batch`` (with its per-row design checks) and
     ``band_table`` on the survivors only. The checks are conjunctive, so the
-    order does not change the feasible set. Ties on the index value break
-    toward smaller omega_n, then smaller zeta. The winning design is its
-    batch row.
+    order does not change the feasible set. The rows inside the kappa
+    ceilings become the result's ``designs``, ``omega_ratio`` and ``kappa``.
+    The winner minimizes kappa2 (``jz2``) or kappa_u (``ju``); ties on the
+    index value break toward smaller omega_n, then smaller zeta. The winning
+    design is its batch row.
     """
     omega0 = modal.omega0
     zetas, ratios = config.zeta_values(), config.omega_ratios()
@@ -295,62 +282,47 @@ def tune(plant: PlantStateSpace, modal: ModalModel, config: TuningConfig) -> Tun
                            lambda4[screened], rows)
     valid = designs.reject == 0
     designs, ratio = designs.take(valid), ratio[screened[valid]]
-    transfer = transfer_batch(designs)
-    kappa, chi = band_table(transfer, plant.bounds.delta, config.band, config.n_samples)
+    kappa, chi = band_table(transfer_batch(designs), plant.bounds.delta, config.band,
+                            config.n_samples)
 
     bars = config.kappa_bars
     feasible = np.flatnonzero((kappa[:, 0] <= bars.kappa1) & (kappa[:, 1] <= bars.kappa2)
                               & (kappa[:, 2] <= bars.kappa3)
                               & (kappa[:, 3] + plant.bounds.varpi <= bars.kappa_u))
-    lambda1, lambda2 = dominant_pair(designs.zeta, designs.omega_n)
-    tuples = tuple(TuningTuple(
-        zeta=float(designs.zeta[i]), omega_n=float(designs.omega_n[i]),
-        omega_ratio=float(ratio[i]), eta=designs.eta[i].copy(),
-        kappa1=float(kappa[i, 0]), kappa2=float(kappa[i, 1]), kappa3=float(kappa[i, 2]),
-        kappa_u=float(kappa[i, 3]), lambda1=complex(lambda1[i]), lambda2=complex(lambda2[i]),
-        lambda3=float(designs.lambda3[i]), psi1=float(transfer.psi1[i]),
-        psi2=float(transfer.psi2[i])) for i in feasible)
-    if not tuples:
-        return TuningResult(config=config, omega0=omega0, tuples=(),
-                            message=INFEASIBLE_MESSAGE)
+    designs, ratio, kappa, chi = (designs.take(feasible), ratio[feasible], kappa[feasible],
+                                  chi[feasible])
+    scan = dict(config=config, omega0=omega0, designs=designs, omega_ratio=ratio, kappa=kappa)
+    if not len(feasible):
+        return TuningResult(**scan, message=INFEASIBLE_MESSAGE)
 
-    best_index = min(range(len(tuples)),
-                     key=lambda i: (tuples[i].index_value(config.index),
-                                    tuples[i].omega_ratio, tuples[i].zeta))
-    row = int(feasible[best_index])
-    chi_best = float(chi[row])
+    index = kappa[:, 1] if config.index == "jz2" else kappa[:, 3]
+    best_index = int(np.lexsort((designs.zeta, ratio, index))[0])
+    chi_best = float(chi[best_index])
     M0 = switching_gain(chi_best, plant.bounds.varpi, config.varsigma)
-    design = designs.design(row, epsilon=config.epsilon).with_switching_gain(M0)
-    return TuningResult(config=config, omega0=omega0, tuples=tuples,
-                        best_index=best_index, design=design, chi=chi_best, M0=M0)
+    design = designs.design(best_index, epsilon=config.epsilon).with_switching_gain(M0)
+    return TuningResult(**scan, best_index=best_index, design=design, chi=chi_best, M0=M0)
 
 
 def feasible_region(result: TuningResult) -> dict[str, tuple[float, float]]:
-    """Min/max of zeta and omega_n/omega0 over the saved tuples."""
+    """Min/max of zeta and omega_n/omega0 over the feasible rows."""
     if not result.feasible:
         raise InfeasibleTuningError(result.message or INFEASIBLE_MESSAGE)
-    return {
-        "zeta": _span([t.zeta for t in result.tuples]),
-        "omega_ratio": _span([t.omega_ratio for t in result.tuples]),
-    }
+    return {name: (float(values.min()), float(values.max()))
+            for name, values in (("zeta", result.designs.zeta),
+                                 ("omega_ratio", result.omega_ratio))}
 
 
 def export_mesh(result: TuningResult, path) -> None:
-    """CSV of the feasible mesh, one row per tuple, argmin marked at the end.
+    """CSV of the feasible mesh, one row per feasible row, argmin marked at the end.
 
-    Data rows map one-to-one onto ``result.tuples``; the final comment line
-    repeats the winning point so plotting scripts can highlight it.
+    Data rows map one-to-one onto the rows of ``result``; the final comment
+    line repeats the winning point so plotting scripts can highlight it.
     """
     if not result.feasible:
         raise InfeasibleTuningError(result.message or INFEASIBLE_MESSAGE)
-    header = ["zeta", "omega_n_over_omega0", "kappa1", "kappa2", "kappa3", "kappa_u"]
+    header = ["zeta", "omega_n_over_omega0", *KAPPA_NAMES]
+    table = np.column_stack((result.designs.zeta, result.omega_ratio, result.kappa)).tolist()
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for t in result.tuples:
-            fh.write(",".join(repr(v) for v in
-                              (t.zeta, t.omega_ratio, t.kappa1, t.kappa2,
-                               t.kappa3, t.kappa_u)) + "\n")
-        b = result.best
-        fh.write("# argmin," + ",".join(repr(v) for v in
-                                        (b.zeta, b.omega_ratio, b.kappa1, b.kappa2,
-                                         b.kappa3, b.kappa_u)) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in table)
+        fh.write("# argmin," + ",".join(map(repr, table[result.best_index])) + "\n")

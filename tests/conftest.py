@@ -194,7 +194,7 @@ def quad_kappa(design: st.SlidingDesign, channel: str, delta: float,
 def scalar_path_mismatches(result: st.TuningResult, plant: st.PlantStateSpace) -> list[str]:
     """What of a batched scan differs from each design computed alone.
 
-    Every feasible tuple is rebuilt as a stack of one through
+    Every feasible row is rebuilt as a stack of one through
     ``design_sliding_controller`` (with its default lambdas),
     ``DesignBatch.of``, ``zero_rows``, ``transfer_batch`` and ``band_table``,
     and the winner's chi and M0 through ``band_table`` and
@@ -204,21 +204,22 @@ def scalar_path_mismatches(result: st.TuningResult, plant: st.PlantStateSpace) -
     config, delta = result.config, plant.bounds.delta
     band, n = config.band, config.n_samples
     mismatches = []
-    for i, t in enumerate(result.tuples):
-        design = st.design_sliding_controller(plant, t.zeta, t.omega_n, epsilon=config.epsilon)
+    for i, t in enumerate(result.rows()):
+        design = st.design_sliding_controller(plant, t["zeta"], t["omega_n"],
+                                              epsilon=config.epsilon)
         lambdas = (*st.smc.dominant_pair(design.zeta, design.omega_n), design.lambda3)
-        if (t.lambda1, t.lambda2, t.lambda3) != lambdas:
-            mismatches.append(f"tuple {i}: lambda1, lambda2, lambda3")
-        if not np.array_equal(design.eta, t.eta):
-            mismatches.append(f"tuple {i}: eta")
+        if (complex(*t["lambda1"]), complex(*t["lambda2"]), t["lambda3"]) != lambdas:
+            mismatches.append(f"row {i}: lambda1, lambda2, lambda3")
+        if not np.array_equal(design.eta, t["eta"]):
+            mismatches.append(f"row {i}: eta")
         (psi1,), (psi2,), (defined,) = st.freqresp.zero_rows(design.eta[None])
-        if not defined or (psi1, psi2) != (t.psi1, t.psi2):
-            mismatches.append(f"tuple {i}: psi1, psi2")
+        if not defined or (psi1, psi2) != (t["psi1"], t["psi2"]):
+            mismatches.append(f"row {i}: psi1, psi2")
         (kappas,), _ = st.freqresp.band_table(transfer_of(design), delta, band, n)
-        if tuple(kappas) != (t.kappa1, t.kappa2, t.kappa3, t.kappa_u):
-            mismatches.append(f"tuple {i}: kappas")
+        if tuple(kappas) != (t["kappa1"], t["kappa2"], t["kappa3"], t["kappa_u"]):
+            mismatches.append(f"row {i}: kappas")
     best = result.best
-    design = st.design_sliding_controller(plant, best.zeta, best.omega_n,
+    design = st.design_sliding_controller(plant, best["zeta"], best["omega_n"],
                                           epsilon=config.epsilon)
     if not (np.array_equal(design.eta, result.design.eta)
             and np.array_equal(design.k_gain, result.design.k_gain)):

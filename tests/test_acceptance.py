@@ -62,21 +62,21 @@ def test_criterion_3_five_story_tuning(five_story, tune_five_jz2, tune_five_ju):
     jz2 = tune_five_jz2.result
     assert jz2.feasible
     best = jz2.best
-    assert best.zeta == pytest.approx(0.5, abs=1e-12)
-    assert best.omega_ratio == pytest.approx(0.5, abs=1e-12)
-    assert np.allclose(best.eta, [2.6, -289.2, 0.87, -9.76], rtol=0.02)
+    assert best["zeta"] == pytest.approx(0.5, abs=1e-12)
+    assert best["omega_ratio"] == pytest.approx(0.5, abs=1e-12)
+    assert np.allclose(best["eta"], [2.6, -289.2, 0.87, -9.76], rtol=0.02)
     # published 4.0 cm; the converged band RMS is 3.798 cm, 5.05% under it,
     # because the printed figure is a coarse-grid statistic (see README), so
     # kappa1 is checked against an independent quadrature of the band mean
     kappa1_quad = quad_kappa(jz2.design, "1", plant.bounds.delta, jz2.config.band)
-    assert best.kappa1 == pytest.approx(kappa1_quad, rel=1e-3)
-    assert best.kappa2 == pytest.approx(0.0010, rel=0.05)   # 1.0 mm
-    assert best.kappa3 == pytest.approx(0.338, rel=0.05)    # 33.8 cm/s
-    assert best.kappa_u == pytest.approx(5.76, rel=0.05)
+    assert best["kappa1"] == pytest.approx(kappa1_quad, rel=1e-3)
+    assert best["kappa2"] == pytest.approx(0.0010, rel=0.05)   # 1.0 mm
+    assert best["kappa3"] == pytest.approx(0.338, rel=0.05)    # 33.8 cm/s
+    assert best["kappa_u"] == pytest.approx(5.76, rel=0.05)
     assert jz2.M0 == pytest.approx(24.13, rel=0.05)
 
     ju = tune_five_ju.result
-    assert ju.best.omega_ratio == pytest.approx(0.62, abs=0.01 + 1e-12)
+    assert ju.best["omega_ratio"] == pytest.approx(0.62, abs=0.01 + 1e-12)
     assert ju.M0 == pytest.approx(20.35, rel=0.05)
 
     total = tune_five_jz2.seconds + tune_five_ju.seconds
@@ -88,13 +88,13 @@ def test_criterion_3_five_story_tuning(five_story, tune_five_jz2, tune_five_ju):
 def test_criterion_4_experimental_tuning(tune_quanser_jz2, tune_quanser_ju):
     step = 0.01 + 1e-12
     jz2 = tune_quanser_jz2.result
-    assert jz2.best.zeta == pytest.approx(0.50, abs=step)
-    assert jz2.best.omega_ratio == pytest.approx(0.50, abs=step)
+    assert jz2.best["zeta"] == pytest.approx(0.50, abs=step)
+    assert jz2.best["omega_ratio"] == pytest.approx(0.50, abs=step)
     assert jz2.M0 == pytest.approx(13.52, rel=0.05)
 
     ju = tune_quanser_ju.result
-    assert ju.best.zeta == pytest.approx(0.50, abs=step)
-    assert ju.best.omega_ratio == pytest.approx(0.55, abs=step)
+    assert ju.best["zeta"] == pytest.approx(0.50, abs=step)
+    assert ju.best["omega_ratio"] == pytest.approx(0.55, abs=step)
     assert ju.M0 == pytest.approx(12.05, rel=0.05)
 
     region = st.feasible_region(jz2)
@@ -140,10 +140,10 @@ def test_criterion_7_kappa_rms_coherence(five_story_runs, tune_five_jz2):
     best = tune_five_jz2.result.best
     summary = st.summarize(five_story_runs.smc_jz2, (0.0, 30.0))
     pairs = {
-        "z1": (best.kappa1, summary["z1"]["rms"]),
-        "z2": (best.kappa2, summary["z2"]["rms"]),
-        "z3": (best.kappa3, summary["z3"]["rms"]),
-        "u": (best.kappa_u, summary["u"]["rms"]),
+        "z1": (best["kappa1"], summary["z1"]["rms"]),
+        "z2": (best["kappa2"], summary["z2"]["rms"]),
+        "z3": (best["kappa3"], summary["z3"]["rms"]),
+        "u": (best["kappa_u"], summary["u"]["rms"]),
     }
     ratios = {}
     for name, (kappa, rms) in pairs.items():
@@ -210,7 +210,7 @@ def test_criterion_8e_force_bound(five_story_runs, tune_five_jz2):
 
 
 def test_criterion_8f_batched_scalar_identity(quanser, tune_quanser_jz2):
-    # every feasible tuple of the batched scan, rebuilt alone as a stack of
+    # every feasible row of the batched scan, rebuilt alone as a stack of
     # one, reproduces eta, psi1, psi2, the four kappas and the
     # winner's chi and M0 exactly
     _, _, q_plant = quanser

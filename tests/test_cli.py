@@ -114,7 +114,8 @@ def test_freq_csv_is_the_band_table_of_the_winner(tmp_path, tune_quanser_jz2):
     result = tune_quanser_jz2.result
     assert columns[3].max() == result.chi
     best = result.best
-    for column, kappa in zip(columns, (best.kappa1, best.kappa2, best.kappa3, best.kappa_u)):
+    kappas = (best["kappa1"], best["kappa2"], best["kappa3"], best["kappa_u"])
+    for column, kappa in zip(columns, kappas):
         rms = np.sqrt(np.trapezoid(column ** 2, omega) / (omega[-1] - omega[0]))
         assert rms == pytest.approx(kappa, rel=1e-12)
 

@@ -295,7 +295,9 @@ def test_unknown_controller_type_rejected(five_story, tune_five_jz2, quake):
 @pytest.mark.parametrize("kwargs", [{"dt": float("nan")}, {"dt": float("inf")},
                                     {"t_end": float("nan")}, {"t_end": float("inf")},
                                     {"mu_d": float("nan")}, {"mu_d": float("inf")},
-                                    {"dt": "0.001"}, {"z0": [0.0, float("nan"), 0.0, 0.0]}])
+                                    {"dt": "0.001"}, {"z0": [0.0, float("nan"), 0.0, 0.0]},
+                                    {"z0": ["1.0", 0.0, 0.0, 0.0]},
+                                    {"z0": ["a", "b", "c", "d"]}])
 def test_non_finite_simulation_inputs_rejected(five_story, quake, kwargs):
     _, _, plant = five_story
     kwargs = {"t_end": 1.0, **kwargs}

@@ -157,6 +157,9 @@ def test_pole_spec_validation(quanser):
         st.design_sliding_controller(plant, zeta=0.5, omega_n=-1.0)
     with pytest.raises(ConfigError):
         st.design_sliding_controller(plant, zeta=0.5, omega_n=1.0, lambda3=1.0)
+    for epsilon in (-1.0, 0.0):
+        with pytest.raises(ConfigError, match="epsilon"):
+            st.design_sliding_controller(plant, zeta=0.5, omega_n=1.0, epsilon=epsilon)
     design = st.design_sliding_controller(plant, zeta=0.5, omega_n=2.0)
     assert design.lambda3 == pytest.approx(-3.0)
     assert design.lambda4 == pytest.approx(-10.0)
@@ -167,7 +170,8 @@ def test_pole_spec_validation(quanser):
 @pytest.mark.parametrize("field, value", [
     ("zeta", float("nan")), ("omega_n", float("nan")), ("omega_n", float("inf")),
     ("omega_n", "5"), ("lambda3", float("nan")), ("lambda3", float("-inf")),
-    ("lambda4", float("nan")), ("lambda4", float("-inf")), ("lambda4", True)])
+    ("lambda4", float("nan")), ("lambda4", float("-inf")), ("lambda4", True),
+    ("epsilon", float("nan")), ("epsilon", float("inf")), ("epsilon", "0.05")])
 def test_pole_spec_rejects_non_finite_or_non_numeric(quanser, field, value):
     # a NaN or infinite pole used to pass and make design_sliding_controller
     # leak numpy's LinAlgError; a string omega_n raised TypeError

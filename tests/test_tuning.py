@@ -16,29 +16,29 @@ def test_five_story_jz2_operating_point(five_story, tune_five_jz2):
     result = tune_five_jz2.result
     assert result.feasible
     best = result.best
-    assert best.zeta == pytest.approx(0.5, abs=1e-12)
-    assert best.omega_ratio == pytest.approx(0.5, abs=1e-12)
-    assert np.allclose(best.eta, [2.6, -289.2, 0.87, -9.76], rtol=0.02)
+    assert best["zeta"] == pytest.approx(0.5, abs=1e-12)
+    assert best["omega_ratio"] == pytest.approx(0.5, abs=1e-12)
+    assert np.allclose(best["eta"], [2.6, -289.2, 0.87, -9.76], rtol=0.02)
     # published 4.0 cm is a coarse-grid figure 5.05% above the converged
     # band RMS (see README), so kappa1 is checked against quadrature instead
     kappa1_quad = quad_kappa(result.design, "1", plant.bounds.delta, result.config.band)
-    assert best.kappa1 == pytest.approx(kappa1_quad, rel=1e-3)
-    assert best.kappa2 == pytest.approx(0.0010, rel=0.05)
-    assert best.kappa3 == pytest.approx(0.338, rel=0.05)
-    assert best.kappa_u == pytest.approx(5.76, rel=0.05)
+    assert best["kappa1"] == pytest.approx(kappa1_quad, rel=1e-3)
+    assert best["kappa2"] == pytest.approx(0.0010, rel=0.05)
+    assert best["kappa3"] == pytest.approx(0.338, rel=0.05)
+    assert best["kappa_u"] == pytest.approx(5.76, rel=0.05)
     assert result.M0 == pytest.approx(24.13, rel=0.05)
-    # pole layout carried on the tuple
-    assert best.lambda1 == pytest.approx(complex(-2.48, -4.29), rel=0.01)
-    assert best.lambda3 == pytest.approx(-7.43, rel=0.01)
-    assert best.psi1 == pytest.approx(-29.64, rel=0.02)
-    assert best.psi2 == pytest.approx(-2.99, rel=0.02)
+    # pole layout carried on the row
+    assert complex(*best["lambda1"]) == pytest.approx(complex(-2.48, -4.29), rel=0.01)
+    assert best["lambda3"] == pytest.approx(-7.43, rel=0.01)
+    assert best["psi1"] == pytest.approx(-29.64, rel=0.02)
+    assert best["psi2"] == pytest.approx(-2.99, rel=0.02)
 
 
 def test_five_story_ju_operating_point(tune_five_ju):
     result = tune_five_ju.result
     best = result.best
-    assert best.zeta == pytest.approx(0.5, abs=1e-12)
-    assert best.omega_ratio == pytest.approx(0.62, abs=0.01 + 1e-12)
+    assert best["zeta"] == pytest.approx(0.5, abs=1e-12)
+    assert best["omega_ratio"] == pytest.approx(0.62, abs=0.01 + 1e-12)
     assert result.M0 == pytest.approx(20.35, rel=0.05)
 
 
@@ -62,14 +62,14 @@ def test_quanser_feasible_region(tune_quanser_jz2):
 
 def test_quanser_operating_points(tune_quanser_jz2, tune_quanser_ju):
     jz2 = tune_quanser_jz2.result
-    assert jz2.best.zeta == pytest.approx(0.5, abs=1e-12)
-    assert jz2.best.omega_ratio == pytest.approx(0.50, abs=0.01 + 1e-12)
+    assert jz2.best["zeta"] == pytest.approx(0.5, abs=1e-12)
+    assert jz2.best["omega_ratio"] == pytest.approx(0.50, abs=0.01 + 1e-12)
     assert jz2.M0 == pytest.approx(13.52, rel=0.05)
-    assert np.allclose(jz2.best.eta, [1.64, -19.94, 0.49, -0.20], rtol=0.02)
+    assert np.allclose(jz2.best["eta"], [1.64, -19.94, 0.49, -0.20], rtol=0.02)
 
     ju = tune_quanser_ju.result
-    assert ju.best.zeta == pytest.approx(0.5, abs=1e-12)
-    assert ju.best.omega_ratio == pytest.approx(0.55, abs=0.01 + 1e-12)
+    assert ju.best["zeta"] == pytest.approx(0.5, abs=1e-12)
+    assert ju.best["omega_ratio"] == pytest.approx(0.55, abs=0.01 + 1e-12)
     assert ju.M0 == pytest.approx(12.05, rel=0.05)
 
 
@@ -115,15 +115,15 @@ def test_mesh_export(tmp_path, tune_five_jz2):
 
 def test_kappa_u_argmin_at_lowest_damping(tune_five_ju):
     best = tune_five_ju.result.best
-    assert best.zeta == pytest.approx(0.5, abs=1e-12)
+    assert best["zeta"] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_argmin_is_exhaustive(tune_five_jz2, tune_five_ju):
-    # the winner minimizes its index over every saved tuple
+    # the winner minimizes its index over every feasible row
     jz2 = tune_five_jz2.result
-    assert all(jz2.best.kappa2 <= t.kappa2 for t in jz2.tuples)
+    assert np.all(jz2.best["kappa2"] <= jz2.kappa[:, 1])
     ju = tune_five_ju.result
-    assert all(ju.best.kappa_u <= t.kappa_u for t in ju.tuples)
+    assert np.all(ju.best["kappa_u"] <= ju.kappa[:, 3])
 
 
 def test_kappa2_monotone_over_feasible_mesh(tune_five_jz2):
@@ -132,7 +132,9 @@ def test_kappa2_monotone_over_feasible_mesh(tune_five_jz2):
     # up to 0.28% (measured), so the zeta direction gets that much slack.
     # The global minimum sits exactly at the lower-left corner either way.
     result = tune_five_jz2.result
-    table = {(round(t.zeta, 6), round(t.omega_ratio, 6)): t.kappa2 for t in result.tuples}
+    table = {(round(z, 6), round(r, 6)): k2 for z, r, k2 in
+             zip(result.designs.zeta.tolist(), result.omega_ratio.tolist(),
+                 result.kappa[:, 1].tolist())}
     step = 0.01
     for (z, r), k2 in table.items():
         right = table.get((round(z + step, 6), r))
@@ -141,26 +143,54 @@ def test_kappa2_monotone_over_feasible_mesh(tune_five_jz2):
             assert up >= k2 * (1 - 1e-12)
         if right is not None:
             assert right >= k2 * (1 - 0.005)
-    best = min(result.tuples, key=lambda t: t.kappa2)
-    assert best.zeta == pytest.approx(0.5) and best.omega_ratio == pytest.approx(0.5)
+    best = int(np.argmin(result.kappa[:, 1]))
+    assert result.designs.zeta[best] == pytest.approx(0.5)
+    assert result.omega_ratio[best] == pytest.approx(0.5)
 
 
 def test_saved_tuples_revalidate_bit_for_bit(five_story, tune_five_jz2):
     _, modal, plant = five_story
     result = tune_five_jz2.result
     config = result.config
-    for t in result.tuples[:: max(1, len(result.tuples) // 25)]:
-        design = st.design_sliding_controller(plant, t.zeta, t.omega_n,
+    rows = result.rows()
+    for t in rows[:: max(1, len(rows) // 25)]:
+        design = st.design_sliding_controller(plant, t["zeta"], t["omega_n"],
                                               epsilon=config.epsilon)
-        assert np.array_equal(design.eta, t.eta)
+        assert np.array_equal(design.eta, t["eta"])
         (psi1,), (psi2,), (defined,) = st.freqresp.zero_rows(design.eta[None])
-        assert defined and psi1 == t.psi1 and psi2 == t.psi2
+        assert defined and psi1 == t["psi1"] and psi2 == t["psi2"]
         (kappa,), _ = st.freqresp.band_table(transfer_of(design), plant.bounds.delta,
                                              config.band, config.n_samples)
-        assert kappa[0] == t.kappa1
-        assert kappa[1] == t.kappa2
-        assert kappa[2] == t.kappa3
-        assert kappa[3] == t.kappa_u
+        assert kappa[0] == t["kappa1"]
+        assert kappa[1] == t["kappa2"]
+        assert kappa[2] == t["kappa3"]
+        assert kappa[3] == t["kappa_u"]
+
+
+@pytest.mark.parametrize("index, column", [("jz2", 1), ("ju", 3)])
+def test_index_tie_breaks_toward_smaller_omega_ratio(quanser, quanser_tuning, monkeypatch,
+                                                     index, column):
+    # a 2 x 2 grid is scanned (z1, r1), (z1, r2), (z2, r1), (z2, r2); the index
+    # ties exactly between (z1, r2) and (z2, r1), and the smaller omega_ratio
+    # wins, not the first of the two in scan order
+    _, modal, plant = quanser
+    config = st.load_tuning_config({**quanser_tuning.to_dict(), "index": index,
+                                    "zeta_u": 0.51, "omega_nu": 0.51})
+    (z1, z2), (r1, r2) = config.zeta_values(), config.omega_ratios()
+
+    def tied_band_table(batch, delta, band, n_samples):
+        assert len(batch.den) == 4      # every grid point passes the zero screen
+        kappa = np.full((4, 4), 1e-6)
+        kappa[:, column] = [2e-6, 1e-6, 1e-6, 2e-6]
+        return kappa, np.ones(4)
+
+    monkeypatch.setattr(st.tuning, "band_table", tied_band_table)
+    result = st.tune(plant, modal, config)
+    assert result.feasible_count == 4
+    assert (result.designs.zeta[1], result.omega_ratio[1]) == (z1, r2)
+    assert result.best_index == 2
+    assert (result.best["zeta"], result.best["omega_ratio"]) == (z2, r1)
+    assert result.design.zeta == z2
 
 
 def test_batched_scan_matches_scalar_path(quanser, tune_quanser_jz2, tune_quanser_ju):
@@ -177,7 +207,7 @@ def test_result_json_roundtrip(tmp_path, tune_quanser_jz2):
     path = tmp_path / "result.json"
     result.to_json(path)
     saved = json.loads(path.read_text())
-    assert saved["tuples"] == [t.to_dict() for t in result.tuples]
+    assert saved["tuples"] == result.rows()
     assert saved == result.to_dict()
     assert saved["design"]["eta"] == result.design.eta.tolist()
 
