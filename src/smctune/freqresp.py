@@ -4,7 +4,8 @@ Four transfer functions map the ground acceleration to the damper stroke
 (G1), top-floor displacement (G2), damper velocity (G3), and control force
 (Gu). Scaling each by the acceleration bound delta gives the worst-case
 sinusoidal response H_i; band-limited RMS values kappa_i and the peak chi of
-|H_u| feed the tuning constraints and the switching gain.
+|H_u| feed the tuning constraints and the switching gain. Both are exact;
+the uniform ``frequency_grid`` only sets the plotted grid.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InfeasibleDesignError
-from .smc import DesignBatch, SlidingDesign, rowdot, sliding_polynomial
+from .smc import DesignBatch, SlidingDesign, dominant_pair, rowdot, sliding_polynomial
 
 __all__ = [
     "DEFAULT_BAND",
@@ -24,16 +25,14 @@ __all__ = [
     "transfer_batch",
     "frequency_grid",
     "band_table",
+    "band_peak",
     "dump_frequency_response",
 ]
 
 #: earthquake excitation band, rad/s (1 to 20 Hz)
 DEFAULT_BAND = (2.0 * np.pi, 40.0 * np.pi)
-#: frequency samples used for band metrics
+#: frequency samples of the plotted grid (``dump_frequency_response``)
 DEFAULT_SAMPLES = 2000
-#: bytes of one (rows, n_samples) float64 temporary of ``band_table``; it sets
-#: how many designs are evaluated per block (4 at DEFAULT_SAMPLES)
-BAND_BLOCK_BYTES = 64 * 1024
 
 
 def zero_rows(eta: np.ndarray):
@@ -55,10 +54,12 @@ class TransferBatch:
 
     Channel c, in the order 1, 2, 3, u, is gains[c] * nums[c](s) / den(s)
     with coefficients in descending powers of s; the four responses share
-    the denominator ``den`` (the sliding characteristic polynomial).
+    the denominator ``den`` (the sliding characteristic polynomial), whose
+    zeros are ``roots``.
     """
 
     den: np.ndarray                      # (m, 4)
+    roots: np.ndarray                    # (m, 3) complex: lambda1, lambda2, lambda3
     nums: tuple[np.ndarray, ...]         # (m, 2), (m, 2), (m, 3), (m, 4)
     gains: tuple[np.ndarray, ...]        # four (m,) arrays
     psi1: np.ndarray                     # (m,)
@@ -79,6 +80,8 @@ def transfer_batch(designs: DesignBatch) -> TransferBatch:
     """
     eta, a2 = designs.eta, designs.alpha2
     den = sliding_polynomial(designs.zeta, designs.omega_n, designs.lambda3)
+    roots = np.stack([*dominant_pair(designs.zeta, designs.omega_n), designs.lambda3 + 0j],
+                     axis=-1)
     psi1, psi2, _ = zero_rows(eta)
     ones, zeros = np.ones_like(psi1), np.zeros_like(psi1)
 
@@ -92,11 +95,11 @@ def transfer_batch(designs: DesignBatch) -> TransferBatch:
             np.stack([ones, -psi1, zeros], axis=-1),
             designs.alpha1[:, None] * den + num_u)
     gains = (a2, -a2 * eta[:, 2] / eta[:, 3], a2, ones)
-    return TransferBatch(den=den, nums=nums, gains=gains, psi1=psi1, psi2=psi2)
+    return TransferBatch(den=den, roots=roots, nums=nums, gains=gains, psi1=psi1, psi2=psi2)
 
 
 def frequency_grid(band=DEFAULT_BAND, n_samples: int = DEFAULT_SAMPLES) -> np.ndarray:
-    """Uniform linear grid over the band, endpoints included."""
+    """Uniform linear grid over the band, endpoints included: the plotted grid."""
     lo, hi = band
     if not lo < hi:
         raise ConfigError(f"band must satisfy lower < upper, got {band}")
@@ -127,66 +130,85 @@ def _squared_magnitude(coeffs: np.ndarray, x: np.ndarray, omega: np.ndarray) -> 
     return even * even + odd * odd
 
 
-def _band_squares(den, nums, gains, delta: float, omega: np.ndarray) -> list[np.ndarray]:
-    """|delta H_c(j omega)|^2 of every channel c on one grid, (m, len(omega)) each.
-
-    |den|^2 is evaluated once for all channels. Every step is elementwise, so
-    a row's values do not depend on the other rows evaluated with it.
+def _band_squares(batch: TransferBatch, delta: float, omega: np.ndarray) -> list[np.ndarray]:
+    """|delta H_c(j omega)|^2 of every channel c, (m, n) each, on one grid (n,)
+    or one per row (m, n). |den|^2 is evaluated once for all channels. Every
+    step is elementwise, so a row's values do not depend on the other rows.
     """
     if delta <= 0:
         raise ConfigError(f"delta must be positive, got {delta}")
     x = -(omega * omega)
-    den_sq = _squared_magnitude(den, x, omega)
+    den_sq = _squared_magnitude(batch.den, x, omega)
     return [np.square(delta * gain)[:, None] * _squared_magnitude(num, x, omega) / den_sq
-            for num, gain in zip(nums, gains)]
+            for num, gain in zip(batch.nums, batch.gains)]
 
 
-def _trapezoid_rms(squares: np.ndarray) -> np.ndarray:
-    """Band RMS sqrt(mean over the band of |delta H(j omega)|^2) of each row.
+def band_table(batch: TransferBatch, delta: float, band=DEFAULT_BAND) -> np.ndarray:
+    """kappa (m, 4): sqrt(band mean of |delta H(j omega)|^2) of channels 1, 2, 3, u.
 
-    The band mean of the squared magnitude is the integral over the band
-    divided by its width, estimated by the composite trapezoid rule on
-    ``frequency_grid(band, n_samples)``: interior samples carry weight
-    1/(n-1), the two endpoints 1/(2(n-1)). Equal weights on the inclusive
-    grid would give each endpoint 1/n instead, an O(1/n) bias that matters
-    here because every response peaks at the lower band edge; the trapezoid
-    estimate converges as O(1/n^2). ``n_samples`` sets the resolution.
+    |H|^2 = g^2 N(s) N(-s) / (D(s) D(-s)) at s = j omega is, over the roots
+    l_i of D, c_inf + sum_i a_i [1/(s - l_i) - 1/(s + l_i)] with
+    a_i = g^2 N(l_i) N(-l_i) / (D'(l_i) D(-l_i)) and c_inf = (g lead N)^2 for
+    the cubic force numerator (0 otherwise). The roots are closed under
+    conjugation, so the band integral is exactly c_inf (b - a)
+    + 2 Im sum_i a_i [log(j b - l_i) - log(j a - l_i)], each log argument off
+    the branch cut (real part -Re l_i > 0). Elementwise, summed in a fixed
+    order: a row's kappa does not depend on the rows evaluated with it.
     """
-    interior_weighted = squares.sum(axis=-1) - 0.5 * (squares[:, 0] + squares[:, -1])
-    return np.sqrt(interior_weighted / (squares.shape[-1] - 1))
+    if delta <= 0:
+        raise ConfigError(f"delta must be positive, got {delta}")
+    lo, hi = frequency_grid(band, 2)    # the band edges, checked
+    roots, index = batch.roots, np.arange(batch.roots.shape[1])
+    product = np.ones_like(roots)       # D'(l_i) D(-l_i), one factor pair per root l_j
+    for j in index:
+        other = roots[:, j:j + 1]
+        product = product * np.where(index == j, 1.0, roots - other) * (-roots - other)
+    weight = (np.log(1j * hi - roots) - np.log(1j * lo - roots)) / product
+    kappa = np.empty((len(roots), 4))
+    for c, (num, gain) in enumerate(zip(batch.nums, batch.gains)):
+        ascending = num[:, ::-1]
+        total = (_horner(ascending, roots) * _horner(ascending, -roots) * weight).sum(axis=-1)
+        lead = num[:, 0] if num.shape[1] == batch.den.shape[1] else 0.0
+        mean = lead * lead + 2.0 * total.imag / (hi - lo)
+        kappa[:, c] = np.sqrt(np.square(delta * gain) * mean)
+    return kappa
 
 
-def band_table(batch: TransferBatch, delta: float, band=DEFAULT_BAND,
-               n_samples: int = DEFAULT_SAMPLES) -> tuple[np.ndarray, np.ndarray]:
-    """kappa (m, 4) of the channels 1, 2, 3, u and the force peak chi (m,).
+def _magnitude_polynomial(p: np.ndarray) -> np.ndarray:
+    """|p(j omega)|^2 = p(s) p(-s) in descending powers of x = omega^2 = -s^2."""
+    sign = (-1.0) ** np.arange(len(p))[::-1]        # p(-s) = sign * p
+    return np.polymul(p, sign * p)[::2] * sign      # s^(2k) = (-x)^k
 
-    All rows share one ``frequency_grid``. They are evaluated in blocks whose
-    (rows, n_samples) temporaries fit BAND_BLOCK_BYTES, so memory stays
-    bounded however many designs the stack holds. kappa is the trapezoid
-    band RMS (``_trapezoid_rms``), and chi comes from the same |H_u| values
-    as kappa_u.
+
+def band_peak(batch: TransferBatch, delta: float, band=DEFAULT_BAND) -> np.ndarray:
+    """chi (m,): the exact band peak of |delta H_u(j omega)| of each row.
+
+    With x = omega^2, |H_u|^2 = g^2 N(x) / D(x) peaks at an edge or at a root
+    of N'D - ND' (degree <= 4; D is monic). The candidates are the edges and
+    the real part of each root inside [a^2, b^2]: all are band frequencies,
+    so a spurious one cannot raise chi and a real root that rounding moved
+    off the axis is kept. An edge peak is the plotted Hu value bit for bit.
     """
-    omega = frequency_grid(band, n_samples)
-    rows = len(batch.den)
-    block = max(1, BAND_BLOCK_BYTES // (omega.itemsize * omega.size))
-    kappa, chi = np.empty((rows, 4)), np.empty(rows)
-    for start in range(0, rows, block):
-        part = slice(start, start + block)
-        squares = _band_squares(batch.den[part], [num[part] for num in batch.nums],
-                                [gain[part] for gain in batch.gains], delta, omega)
-        for channel, sq in enumerate(squares):
-            kappa[part, channel] = _trapezoid_rms(sq)
-        chi[part] = np.sqrt(squares[3].max(axis=-1))
-    return kappa, chi
+    lo, hi = frequency_grid(band, 2)    # the band edges, checked
+    # room for the two edges and every root; unused slots repeat the lower edge
+    omega = np.full((len(batch.den), batch.nums[3].shape[1] + batch.den.shape[1]), lo)
+    omega[:, 1] = hi
+    for i, (num, den) in enumerate(zip(batch.nums[3], batch.den)):
+        N, D = _magnitude_polynomial(num), _magnitude_polynomial(den)
+        x = np.roots(np.polysub(np.polymul(np.polyder(N), D), np.polymul(N, np.polyder(D)))).real
+        x = x[(lo * lo <= x) & (x <= hi * hi)]
+        omega[i, 2:2 + len(x)] = np.sqrt(x)     # in [lo, hi], as sqrt(lo * lo) == lo
+    return np.sqrt(_band_squares(batch, delta, omega)[3].max(axis=1))
 
 
 def dump_frequency_response(design: SlidingDesign, delta: float, path,
                             band=DEFAULT_BAND, n_samples: int = DEFAULT_SAMPLES) -> None:
     """CSV of the scaled magnitudes |delta H_c(j omega)| of one design, for plotting.
 
-    The columns are the square roots of the ``_band_squares`` values that
-    ``band_table`` reduces to kappa and chi, so the peak of the Hu column is
-    chi. A design whose transfer zeros are undefined is infeasible.
+    The columns are the square roots of ``_band_squares`` on
+    ``frequency_grid(band, n_samples)``; the Hu column peaks at ``band_peak``'s
+    chi if chi sits at a band edge, below it otherwise. A design whose
+    transfer zeros are undefined is infeasible.
     """
     designs = DesignBatch.of(design)
     if not zero_rows(designs.eta)[2][0]:
@@ -194,8 +216,7 @@ def dump_frequency_response(design: SlidingDesign, delta: float, path,
             "sliding vector has a vanishing third or fourth component; "
             "transfer-function zeros are undefined")
     omega = frequency_grid(band, n_samples)
-    batch = transfer_batch(designs)
-    squares = _band_squares(batch.den, batch.nums, batch.gains, delta, omega)
+    squares = _band_squares(transfer_batch(designs), delta, omega)
     rows = np.column_stack([omega] + [np.sqrt(sq[0]) for sq in squares]).tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

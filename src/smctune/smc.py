@@ -363,8 +363,10 @@ def switching_gain(chi: float, varpi: float, varsigma: float = 0.5) -> float:
 
     chi bounds the equivalent control over the excitation band, varpi the
     friction, and varsigma > 0 provides the strict margin that guarantees
-    finite-time reaching.
+    finite-time reaching. Each must be a finite number, or ConfigError.
     """
+    chi, varpi = finite_number("chi", chi), finite_number("varpi", varpi)
+    varsigma = finite_number("varsigma", varsigma)
     if chi < 0 or varpi < 0:
         raise ConfigError("chi and varpi must be non-negative")
     if varsigma <= 0:
@@ -374,7 +376,9 @@ def switching_gain(chi: float, varpi: float, varsigma: float = 0.5) -> float:
 
 def control_force(sigma: float, M0: float, epsilon: float = 0.05) -> float:
     """Saturated relay: -M0 sign(sigma) with a linear ramp of slope -M0/epsilon
-    inside the boundary layer |sigma| <= epsilon."""
+    inside the boundary layer |sigma| <= epsilon. M0 and epsilon must be
+    finite numbers, or ConfigError."""
+    M0, epsilon = finite_number("M0", M0), finite_number("epsilon", epsilon)
     if epsilon <= 0:
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
     if sigma > epsilon:
@@ -395,8 +399,8 @@ def design_sliding_controller(plant: PlantStateSpace, zeta: float, omega_n: floa
     lambda4 only shapes the reaching phase, and epsilon, the relay's boundary
     layer, must be positive. Each value must be a finite number, or
     ConfigError. This is ``design_batch`` with a stack of one. The
-    switching gain is left unset; it depends on the excitation band analysis
-    (see freqresp.band_table and switching_gain).
+    switching gain is left unset; it follows from the force peak over the
+    excitation band (see freqresp.band_peak and switching_gain).
     """
     zeta, omega_n = finite_number("zeta", zeta), finite_number("omega_n", omega_n)
     if not 0.0 < zeta < 1.0:

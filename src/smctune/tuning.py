@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, InfeasibleTuningError, finite_number, read_json_object
-from .freqresp import DEFAULT_BAND, DEFAULT_SAMPLES, band_table, transfer_batch, zero_rows
+from .freqresp import (DEFAULT_BAND, DEFAULT_SAMPLES, band_peak, band_table, transfer_batch,
+                       zero_rows)
 from .smc import (DesignBatch, SlidingDesign, ackermann_rows, design_batch, dominant_pair,
                   real_poles, sliding_vectors, switching_gain)
 from .structure import ModalModel, PlantStateSpace
@@ -41,8 +42,8 @@ KAPPA_NAMES = ("kappa1", "kappa2", "kappa3", "kappa_u")
 #: numbers per point at once (a 0.001 step over both fixture ranges is
 #: 401 x 501 = 200 901 points)
 MAX_GRID_POINTS = 250_000
-#: most frequency samples per band; one band row of this many floats is held
-#: per block of survivors (2000 samples already converge to 5e-5)
+#: most frequency samples of the plotted grid of ``smctune freq``; kappa and
+#: chi are exact and do not depend on n_samples
 MAX_SAMPLES = 100_000
 
 _REAL_FIELDS = ("zeta_l", "zeta_u", "delta_zeta", "omega_nl", "omega_nu", "delta_omega",
@@ -75,7 +76,8 @@ class TuningConfig:
 
     omega_nl/omega_nu/delta_omega are expressed as multiples of the dominant
     structural frequency omega0; zeta is dimensionless. Each grid point gets
-    its real poles lambda3 and lambda4 by ``smc.real_poles``.
+    its real poles lambda3 and lambda4 by ``smc.real_poles``. n_samples
+    sets only the plotted grid of ``smctune freq``; kappa and chi are exact.
     Every field is checked here, so a config that loads can be scanned: all
     numbers finite, 0 < zeta_l < zeta_u < 1, 0 < omega_nl < omega_nu, a band
     with lower < upper, 2 <= n_samples <= MAX_SAMPLES, and at most
@@ -210,23 +212,25 @@ class TuningResult:
 
     @property
     def best(self) -> dict | None:
-        return None if self.best_index is None else self.rows()[self.best_index]
+        return None if self.best_index is None else self.rows([self.best_index])[0]
 
-    def rows(self) -> list[dict]:
-        """One dict per feasible row: pole layout, sliding vector, kappas, zeros.
+    def rows(self, select=slice(None)) -> list[dict]:
+        """One dict per feasible row (or per row of ``select``, an index
+        array): pole layout, sliding vector, kappas, zeros.
 
         lambda1 and lambda2 (as [real, imag]) come from ``dominant_pair`` and
-        psi1 and psi2 from ``zero_rows``, over the whole stack at once; both
+        psi1 and psi2 from ``zero_rows``, over the selected stack at once; both
         are elementwise, so the values equal those of the scan bit for bit.
         """
-        d = self.designs
+        d, kappa = self.designs.take(select), self.kappa[select]
         lambda1, lambda2 = dominant_pair(d.zeta, d.omega_n)
         psi1, psi2, _ = zero_rows(d.eta)
-        columns = {"zeta": d.zeta, "omega_n": d.omega_n, "omega_ratio": self.omega_ratio,
-                   "eta": d.eta, "lambda1": np.column_stack((lambda1.real, lambda1.imag)),
+        columns = {"zeta": d.zeta, "omega_n": d.omega_n,
+                   "omega_ratio": self.omega_ratio[select], "eta": d.eta,
+                   "lambda1": np.column_stack((lambda1.real, lambda1.imag)),
                    "lambda2": np.column_stack((lambda2.real, lambda2.imag)),
                    "lambda3": d.lambda3, "psi1": psi1, "psi2": psi2,
-                   **{name: self.kappa[:, c] for c, name in enumerate(KAPPA_NAMES)}}
+                   **{name: kappa[:, c] for c, name in enumerate(KAPPA_NAMES)}}
         lists = {name: column.tolist() for name, column in columns.items()}
         return [dict(zip(lists, row)) for row in zip(*lists.values())]
 
@@ -263,7 +267,8 @@ def tune(plant: PlantStateSpace, modal: ModalModel, config: TuningConfig) -> Tun
     ceilings become the result's ``designs``, ``omega_ratio`` and ``kappa``.
     The winner minimizes kappa2 (``jz2``) or kappa_u (``ju``); ties on the
     index value break toward smaller omega_n, then smaller zeta. The winning
-    design is its batch row.
+    design is its batch row, and only the winner gets its force peak chi
+    (``band_peak``), from which the switching gain M0 follows.
     """
     omega0 = modal.omega0
     zetas, ratios = config.zeta_values(), config.omega_ratios()
@@ -282,22 +287,21 @@ def tune(plant: PlantStateSpace, modal: ModalModel, config: TuningConfig) -> Tun
                            lambda4[screened], rows)
     valid = designs.reject == 0
     designs, ratio = designs.take(valid), ratio[screened[valid]]
-    kappa, chi = band_table(transfer_batch(designs), plant.bounds.delta, config.band,
-                            config.n_samples)
+    kappa = band_table(transfer_batch(designs), plant.bounds.delta, config.band)
 
     bars = config.kappa_bars
     feasible = np.flatnonzero((kappa[:, 0] <= bars.kappa1) & (kappa[:, 1] <= bars.kappa2)
                               & (kappa[:, 2] <= bars.kappa3)
                               & (kappa[:, 3] + plant.bounds.varpi <= bars.kappa_u))
-    designs, ratio, kappa, chi = (designs.take(feasible), ratio[feasible], kappa[feasible],
-                                  chi[feasible])
+    designs, ratio, kappa = designs.take(feasible), ratio[feasible], kappa[feasible]
     scan = dict(config=config, omega0=omega0, designs=designs, omega_ratio=ratio, kappa=kappa)
     if not len(feasible):
         return TuningResult(**scan, message=INFEASIBLE_MESSAGE)
 
     index = kappa[:, 1] if config.index == "jz2" else kappa[:, 3]
     best_index = int(np.lexsort((designs.zeta, ratio, index))[0])
-    chi_best = float(chi[best_index])
+    winner = transfer_batch(designs.take([best_index]))
+    chi_best = float(band_peak(winner, plant.bounds.delta, config.band)[0])
     M0 = switching_gain(chi_best, plant.bounds.varpi, config.varsigma)
     design = designs.design(best_index, epsilon=config.epsilon).with_switching_gain(M0)
     return TuningResult(**scan, best_index=best_index, design=design, chi=chi_best, M0=M0)

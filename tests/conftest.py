@@ -169,7 +169,8 @@ def rational_response(batch, channel: str, s) -> np.ndarray:
     """gains * num(s) / den(s) of row 0 of ``batch``, by complex ``np.polyval``.
 
     An evaluation of the rational form that shares no code with the
-    real-arithmetic |H|^2 of ``band_table``.
+    real-arithmetic |H|^2 of ``_band_squares`` or the residues of
+    ``band_table``.
     """
     c = "123u".index(channel)
     return batch.gains[c][0] * np.polyval(batch.nums[c][0], s) / np.polyval(batch.den[0], s)
@@ -180,14 +181,14 @@ def quad_kappa(design: st.SlidingDesign, channel: str, delta: float,
     """Independent kappa oracle: adaptive quadrature on the state-space resolvent.
 
     sqrt(mean over the band of |delta resolvent_response|^2). It shares
-    neither the rational realization nor the frequency grid with
+    neither the rational realization nor the residue integral with
     ``band_table``.
     """
     def mag_sq(w):
         return abs(resolvent_response(design, channel, w)[0]) ** 2
 
     lo, hi = band
-    integral, _ = quad(mag_sq, lo, hi, limit=200, epsabs=0.0, epsrel=1e-10)
+    integral, _ = quad(mag_sq, lo, hi, limit=200, epsabs=0.0, epsrel=1e-12)
     return float(delta * np.sqrt(integral / (hi - lo)))
 
 
@@ -197,12 +198,11 @@ def scalar_path_mismatches(result: st.TuningResult, plant: st.PlantStateSpace) -
     Every feasible row is rebuilt as a stack of one through
     ``design_sliding_controller`` (with its default lambdas),
     ``DesignBatch.of``, ``zero_rows``, ``transfer_batch`` and ``band_table``,
-    and the winner's chi and M0 through ``band_table`` and
+    and the winner's chi and M0 through ``band_peak`` and
     ``switching_gain``; any field that is not bit-identical is named in the
     returned list.
     """
-    config, delta = result.config, plant.bounds.delta
-    band, n = config.band, config.n_samples
+    config, delta, band = result.config, plant.bounds.delta, result.config.band
     mismatches = []
     for i, t in enumerate(result.rows()):
         design = st.design_sliding_controller(plant, t["zeta"], t["omega_n"],
@@ -215,7 +215,7 @@ def scalar_path_mismatches(result: st.TuningResult, plant: st.PlantStateSpace) -
         (psi1,), (psi2,), (defined,) = st.freqresp.zero_rows(design.eta[None])
         if not defined or (psi1, psi2) != (t["psi1"], t["psi2"]):
             mismatches.append(f"row {i}: psi1, psi2")
-        (kappas,), _ = st.freqresp.band_table(transfer_of(design), delta, band, n)
+        (kappas,) = st.freqresp.band_table(transfer_of(design), delta, band)
         if tuple(kappas) != (t["kappa1"], t["kappa2"], t["kappa3"], t["kappa_u"]):
             mismatches.append(f"row {i}: kappas")
     best = result.best
@@ -224,7 +224,7 @@ def scalar_path_mismatches(result: st.TuningResult, plant: st.PlantStateSpace) -
     if not (np.array_equal(design.eta, result.design.eta)
             and np.array_equal(design.k_gain, result.design.k_gain)):
         mismatches.append("winner: eta, k_gain")
-    _, (chi,) = st.freqresp.band_table(transfer_of(design), delta, band, n)
+    (chi,) = st.freqresp.band_peak(transfer_of(design), delta, band)
     if chi != result.chi:
         mismatches.append("winner: chi")
     if st.switching_gain(chi, plant.bounds.varpi, config.varsigma) != result.M0:

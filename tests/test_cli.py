@@ -101,8 +101,10 @@ def test_freq_command(tmp_path):
 
 
 def test_freq_csv_is_the_band_table_of_the_winner(tmp_path, tune_quanser_jz2):
-    # the Hu peak is the scan's chi and the trapezoid RMS of each squared
-    # column is the winner's kappa: the file and result.json share one path
+    # the winner's force peaks at the lower band edge, so the Hu column's
+    # peak is the scan's exact chi bit for bit; the trapezoid RMS of each
+    # squared column converges to the winner's exact kappa (the 2000-sample
+    # rule is off by at most 5.1e-5 on Quanser)
     args = ["freq", "--config", "quanser.json", "--tuning", "quanser_tuning.json"]
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(args + ["--out", str(out1)]) == 0
@@ -112,12 +114,13 @@ def test_freq_csv_is_the_band_table_of_the_winner(tmp_path, tune_quanser_jz2):
     table = np.loadtxt(out1 / "frequency_response.csv", delimiter=",", skiprows=1)
     omega, columns = table[:, 0], table[:, 1:].T
     result = tune_quanser_jz2.result
+    assert np.argmax(columns[3]) == 0
     assert columns[3].max() == result.chi
     best = result.best
     kappas = (best["kappa1"], best["kappa2"], best["kappa3"], best["kappa_u"])
     for column, kappa in zip(columns, kappas):
         rms = np.sqrt(np.trapezoid(column ** 2, omega) / (omega[-1] - omega[0]))
-        assert rms == pytest.approx(kappa, rel=1e-12)
+        assert rms == pytest.approx(kappa, rel=1e-4)
 
 
 def test_simulate_zero_quake(tmp_path):

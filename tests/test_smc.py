@@ -128,6 +128,23 @@ def test_switching_gain_sum():
         st.switching_gain(1.0, 0.0, varsigma=0.0)
 
 
+@pytest.mark.parametrize("args", [(float("nan"), 0.5), (1.0, float("nan")),
+                                  (1.0, 0.5, float("nan")), (float("inf"), 0.5),
+                                  ("1.0", 0.5)])
+def test_switching_gain_rejects_non_finite_or_non_numeric(args):
+    # every comparison with NaN is false, so without the check a NaN chi,
+    # varpi or varsigma passed the sign tests and came back as M0 = nan
+    with pytest.raises(ConfigError):
+        st.switching_gain(*args)
+
+
+@pytest.mark.parametrize("args", [(0.1, 10.0, float("nan")), (0.1, float("nan"), 0.05),
+                                  (0.1, float("inf"), 0.05), (0.1, 10.0, "0.05")])
+def test_control_force_rejects_non_finite_or_non_numeric(args):
+    with pytest.raises(ConfigError):
+        st.control_force(*args)
+
+
 def test_control_force_branches():
     M0, eps = 10.0, 0.05
     assert st.control_force(0.0, M0, eps) == 0.0
