@@ -50,6 +50,16 @@ def _write_json(payload: dict, path: Path) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _out_dir(args) -> Path:
+    """The ``--out`` directory, made if missing; ConfigError if it cannot be."""
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use {out} as the output directory: {exc}") from exc
+    return out
+
+
 def _load_setup(args):
     setup = load_building_config(_resolve(args.config))
     modal, plant = plant_from_setup(setup)
@@ -75,8 +85,7 @@ def _plant_dict(plant) -> dict:
 
 def cmd_model(args) -> int:
     setup, modal, plant = _load_setup(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     _write_json(_modal_dict(modal), out / "modal.json")
     _write_json(_plant_dict(plant), out / "plant.json")
     print(f"stories: {setup.building.n_stories}")
@@ -97,8 +106,7 @@ def cmd_tune(args) -> int:
     _, modal, plant = _load_setup(args)
     config = _tuning_config(args)
     result = tune(plant, modal, config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     result.to_json(out / "result.json")
     if not result.feasible:
         print(f"infeasible: {result.message}", file=sys.stderr)
@@ -130,8 +138,7 @@ def cmd_lqr(args) -> int:
     spec = bryson_weights(_load_maxima(_resolve(args.maxima)))
     result = solve_lqr(plant, spec)
     equivalent = lqr_equivalent_polespec(result, modal.omega0)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     payload = {
         "Q": [float(q) for q in np.diag(spec.Q)],
         "r": spec.r,
@@ -156,8 +163,7 @@ def cmd_freq(args) -> int:
     if not result.feasible:
         print(result.message, file=sys.stderr)
         return EXIT_INFEASIBLE
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     dump_frequency_response(result.design, plant.bounds.delta, out / "frequency_response.csv",
                             band=config.band, n_samples=config.n_samples)
     _write_json(result.design.to_dict(), out / "design.json")
@@ -212,10 +218,9 @@ def cmd_simulate(args) -> int:
         controller = _lqr_controller(plant, args.maxima)
 
     trace = simulate(plant, controller, quake, t_end, mu_d=setup.atmd.mu_d)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_trace_csv(trace, out / "trace.csv")
     summary = summarize(trace, window)
+    out = _out_dir(args)
+    write_trace_csv(trace, out / "trace.csv")
     _write_json({"controller": controller.label, "quake": quake.label,
                  "pga": quake.pga, "t_end": t_end, **summary},
                 out / "summary.json")
@@ -238,8 +243,7 @@ def cmd_compare(args) -> int:
     if args.maxima is not None:
         controllers.append(_lqr_controller(plant, args.maxima))
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     rows = []
     for controller in controllers:
         trace = simulate(plant, controller, quake, t_end, mu_d=setup.atmd.mu_d)

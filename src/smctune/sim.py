@@ -374,13 +374,14 @@ def simulate(plant: PlantStateSpace, controller: FeedbackLaw, quake: Accelerogra
 
 
 def summarize(trace: SimulationTrace, window: tuple[float, float] | None = None) -> dict:
-    """Per-channel RMS and absolute peak over the window (seconds, inclusive)."""
+    """Per-channel RMS and absolute peak over the window (seconds, inclusive, finite)."""
     t = trace.t
     if window is None:
         mask = np.ones(len(t), dtype=bool)
         window = (float(t[0]), float(t[-1]))
     else:
         a, b = window
+        a, b = finite_number("window lower bound", a), finite_number("window upper bound", b)
         if b < a:
             raise ConfigError(f"window upper bound {b} is below lower bound {a}")
         mask = (t >= a - 1e-12) & (t <= b + 1e-12)

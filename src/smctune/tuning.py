@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleTuningError, finite_number, read_json_object
+from .errors import (ConfigError, InfeasibleTuningError, NumericalError, finite_number,
+                     read_json_object)
 from .freqresp import (DEFAULT_BAND, DEFAULT_SAMPLES, band_peak, band_table, transfer_batch,
                        zero_rows)
 from .smc import (DesignBatch, SlidingDesign, ackermann_rows, design_batch, dominant_pair,
@@ -187,8 +188,10 @@ class TuningResult:
     feasible grid point in scan order (zeta-major). ``best_index`` points
     into these rows; an empty scan leaves them empty and ``best_index`` None,
     with an explanatory message. The winning design carries the switching
-    gain M0 derived from the force peak chi. ``rows()`` gives the rows as the
-    dicts ``result.json`` stores, and ``best`` the winner's.
+    gain M0 derived from the force peak chi. ``columns()`` gives the named
+    columns of the rows, ``rows()`` the dicts ``result.json`` stores, and
+    ``best`` the winner's; ``result.json`` is the ``json.dumps`` of
+    ``to_dict()`` byte for byte.
     """
 
     config: TuningConfig
@@ -214,13 +217,14 @@ class TuningResult:
     def best(self) -> dict | None:
         return None if self.best_index is None else self.rows([self.best_index])[0]
 
-    def rows(self, select=slice(None)) -> list[dict]:
-        """One dict per feasible row (or per row of ``select``, an index
-        array): pole layout, sliding vector, kappas, zeros.
+    def columns(self, select=slice(None)) -> dict[str, np.ndarray]:
+        """The named columns of the feasible rows (or of the rows of ``select``,
+        an index array) in sorted key order: pole layout, sliding vector,
+        kappas, zeros. Each is 1-D but eta and lambda1, lambda2 ([real, imag]).
 
-        lambda1 and lambda2 (as [real, imag]) come from ``dominant_pair`` and
-        psi1 and psi2 from ``zero_rows``, over the selected stack at once; both
-        are elementwise, so the values equal those of the scan bit for bit.
+        lambda1 and lambda2 come from ``dominant_pair`` and psi1 and psi2 from
+        ``zero_rows``, elementwise over the selected stack, so the values equal
+        those of the scan bit for bit.
         """
         d, kappa = self.designs.take(select), self.kappa[select]
         lambda1, lambda2 = dominant_pair(d.zeta, d.omega_n)
@@ -231,12 +235,16 @@ class TuningResult:
                    "lambda2": np.column_stack((lambda2.real, lambda2.imag)),
                    "lambda3": d.lambda3, "psi1": psi1, "psi2": psi2,
                    **{name: kappa[:, c] for c, name in enumerate(KAPPA_NAMES)}}
-        lists = {name: column.tolist() for name, column in columns.items()}
+        return dict(sorted(columns.items()))
+
+    def rows(self, select=slice(None)) -> list[dict]:
+        """One dict per row of ``columns(select)``, as ``result.json`` stores it."""
+        lists = {name: column.tolist() for name, column in self.columns(select).items()}
         return [dict(zip(lists, row)) for row in zip(*lists.values())]
 
-    def to_dict(self) -> dict:
+    def _summary(self) -> dict:
+        """Every key of ``to_dict`` but ``"tuples"``."""
         region = feasible_region(self) if self.feasible else None
-        rows = self.rows()
         return {
             "config": self.config.to_dict(),
             "omega0": self.omega0,
@@ -244,17 +252,38 @@ class TuningResult:
             "feasible_count": self.feasible_count,
             "message": self.message,
             "best_index": self.best_index,
-            "best": None if self.best_index is None else rows[self.best_index],
+            "best": self.best,
             "design": None if self.design is None else self.design.to_dict(),
             "chi": self.chi,
             "M0": self.M0,
             "feasible_zeta_range": None if region is None else list(region["zeta"]),
             "feasible_omega_range": None if region is None else list(region["omega_ratio"]),
-            "tuples": rows,
         }
 
+    def to_dict(self) -> dict:
+        return {**self._summary(), "tuples": self.rows()}
+
     def to_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        """Write ``json.dumps(self.to_dict(), indent=2, sort_keys=True)`` plus a
+        newline to ``path``, byte for byte. ``"tuples"`` sorts last, so it
+        follows the summary as one row layout filled with ``%r`` (the float
+        repr of ``json``) from one column table; a non-finite value in it
+        raises NumericalError before the file is opened.
+        """
+        columns = self.columns()
+        table = np.column_stack(list(columns.values()))
+        if not np.isfinite(table).all():
+            raise NumericalError("a feasible tuple holds a non-finite value")
+        fields = [f'      "{name}": ' + ("%r" if column.ndim == 1 else
+                                          "[\n" + ",\n".join(["        %r"] * column.shape[1])
+                                          + "\n      ]")
+                  for name, column in columns.items()]
+        layout = "    {\n" + ",\n".join(fields) + "\n    }"
+        body = ",\n".join([layout] * len(table)) % tuple(table.ravel().tolist())
+        text = json.dumps({**self._summary(), "tuples": []}, indent=2, sort_keys=True)
+        if body:
+            text = text[:-len("[]\n}")] + f"[\n{body}\n  ]\n}}"
+        Path(path).write_text(text + "\n")
 
 
 def tune(plant: PlantStateSpace, modal: ModalModel, config: TuningConfig) -> TuningResult:

@@ -144,6 +144,36 @@ def test_simulate_window_sample_count(tmp_path):
     assert summary["n_samples"] == 4001
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize("window", ["0,inf", "-inf,inf", "nan,1"])
+def test_non_finite_window_exits_2(tmp_path, capsys, command, window):
+    extra = (["--controller", "passive"] if command == "simulate"
+             else ["--tuning", "quanser_tuning.json"])
+    rc = main([command, "--config", "quanser.json", "--quake", "synthetic_quake.csv",
+               *extra, "--t-end", "2", f"--window={window}", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["model"],
+    ["tune", "--tuning", "quanser_tuning.json"],
+    ["lqr", "--maxima", "quanser_lqr_maxima.json"],
+    ["freq", "--tuning", "quanser_tuning.json"],
+    ["simulate", "--quake", "synthetic_quake.csv", "--controller", "passive", "--t-end", "1"],
+    ["compare", "--quake", "synthetic_quake.csv", "--tuning", "quanser_tuning.json",
+     "--t-end", "1"],
+], ids=lambda argv: argv[0])
+def test_out_naming_a_file_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    rc = main([*argv, "--config", "quanser.json", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot use {out} as the output")
+    assert out.read_text() == "not a directory\n"
+
+
 def test_simulate_smc_requires_tuning(tmp_path):
     rc = main(["simulate", "--config", "quanser.json", "--quake", "synthetic_quake.csv",
                "--controller", "smc", "--t-end", "5", "--out", str(tmp_path)])

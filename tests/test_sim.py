@@ -86,6 +86,15 @@ def test_time_grid_and_windowing(five_story, quake):
         st.simulate(plant, st.PassiveControl(), quake, 41.0)
 
 
+@pytest.mark.parametrize("window", [(0.0, float("inf")), (float("-inf"), float("inf")),
+                                    (float("nan"), 1.0)])
+def test_summarize_rejects_a_non_finite_window(window):
+    trace = st.SimulationTrace(t=np.array([0.0, 1.0]), z=np.zeros((2, 4)), u=np.zeros(2),
+                               sigma=np.zeros(2), xg=np.zeros(2))
+    with pytest.raises(ConfigError, match="window .* bound must be finite"):
+        st.summarize(trace, window)
+
+
 def test_summarize_hand_values():
     t = np.array([0.0, 1.0, 2.0])
     z = np.zeros((3, 4))

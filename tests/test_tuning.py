@@ -1,12 +1,16 @@
 """Grid-search tuning: published operating points, regions, and determinism."""
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hst
+from hypothesis.extra import numpy as hnp
 
 import smctune as st
 import smctune.cli
-from smctune.errors import ConfigError, InfeasibleTuningError
+from smctune.errors import ConfigError, InfeasibleTuningError, NumericalError
 from smctune.fixtures import fixture_path
 from conftest import quad_kappa, scalar_path_mismatches, transfer_of
 
@@ -210,6 +214,67 @@ def test_result_json_roundtrip(tmp_path, tune_quanser_jz2):
     assert saved["tuples"] == result.rows()
     assert saved == result.to_dict()
     assert saved["design"]["eta"] == result.design.eta.tolist()
+
+
+def _json_oracle(result: st.TuningResult) -> bytes:
+    return (json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("timed", ["tune_five_jz2", "tune_five_ju", "tune_quanser_jz2",
+                                   "tune_quanser_ju"])
+def test_result_json_is_the_json_dumps_of_to_dict(tmp_path, request, timed):
+    result = request.getfixturevalue(timed).result
+    result.to_json(tmp_path / "result.json")
+    assert (tmp_path / "result.json").read_bytes() == _json_oracle(result)
+
+
+def test_result_json_bytes_on_the_wide_and_the_infeasible_scan(tmp_path, five_story, quanser,
+                                                               five_story_tuning,
+                                                               quanser_tuning):
+    _, modal, plant = five_story
+    wide = st.load_tuning_config({**five_story_tuning.to_dict(), "gamma1": 0.5, "gamma2": 0.5,
+                                  "kappa_bars": dict.fromkeys(st.tuning.KAPPA_NAMES, 1e6)})
+    result = st.tune(plant, modal, wide)
+    assert result.feasible_count == 2026
+    result.to_json(tmp_path / "wide.json")
+    assert (tmp_path / "wide.json").read_bytes() == _json_oracle(result)
+
+    _, modal, plant = quanser
+    bars = {**quanser_tuning.to_dict()["kappa_bars"], "kappa2": 1e-9}
+    result = st.tune(plant, modal,
+                     st.load_tuning_config({**quanser_tuning.to_dict(), "kappa_bars": bars}))
+    assert not result.feasible
+    result.to_json(tmp_path / "infeasible.json")
+    text = (tmp_path / "infeasible.json").read_bytes()
+    assert text == _json_oracle(result)
+    assert b'"tuples": []' in text
+
+
+def test_result_json_refuses_a_non_finite_tuple(tmp_path, tune_quanser_jz2):
+    result = tune_quanser_jz2.result
+    kappa = result.kappa.copy()
+    kappa[7, 2] = np.nan
+    with pytest.raises(NumericalError, match="non-finite"):
+        replace(result, kappa=kappa).to_json(tmp_path / "result.json")
+    assert not (tmp_path / "result.json").exists()
+
+
+# floats whose repr takes each of its forms: signed zero, the smallest
+# subnormal, exponent notation below 1e-4 and from 1e16, and the largest scale
+_EDGE_FLOATS = hst.sampled_from([-0.0, 5e-324, 1e-7, 1e16, 1e300, -1e300])
+_FLOATS = _EDGE_FLOATS | hst.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=hst.data())
+def test_result_json_bytes_hold_for_any_finite_floats(tmp_path, tune_quanser_jz2, data):
+    result = tune_quanser_jz2.result
+    m = result.feasible_count
+    result = replace(result, kappa=data.draw(hnp.arrays(np.float64, (m, 4), elements=_FLOATS)),
+                     omega_ratio=data.draw(hnp.arrays(np.float64, m, elements=_FLOATS)))
+    result.to_json(tmp_path / "result.json")
+    assert (tmp_path / "result.json").read_bytes() == _json_oracle(result)
 
 
 def test_grid_values_inclusive(five_story_tuning):
