@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 invalid input, 3 infeasible tuning, 4 numerical failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -156,17 +157,22 @@ def cmd_lqr(args) -> int:
     return EXIT_OK
 
 
+def _tuned_design(plant, modal, config):
+    """The scan's winner with its switching gain, or InfeasibleTuningError (exit 3)."""
+    result = tune(plant, modal, config)
+    if not result.feasible:
+        raise InfeasibleTuningError(result.message)
+    return result.design
+
+
 def cmd_freq(args) -> int:
     _, modal, plant = _load_setup(args)
     config = _tuning_config(args)
-    result = tune(plant, modal, config)
-    if not result.feasible:
-        print(result.message, file=sys.stderr)
-        return EXIT_INFEASIBLE
+    design = _tuned_design(plant, modal, config)
     out = _out_dir(args)
-    dump_frequency_response(result.design, plant.bounds.delta, out / "frequency_response.csv",
+    dump_frequency_response(design, plant.bounds.delta, out / "frequency_response.csv",
                             band=config.band, n_samples=config.n_samples)
-    _write_json(result.design.to_dict(), out / "design.json")
+    _write_json(design.to_dict(), out / "design.json")
     print(f"wrote {out / 'frequency_response.csv'} and {out / 'design.json'}")
     return EXIT_OK
 
@@ -187,13 +193,6 @@ def _window_from_args(args):
     return (a, b)
 
 
-def _smc_controller(plant, modal, config, index):
-    result = tune(plant, modal, replace(config, index=index))
-    if not result.feasible:
-        raise InfeasibleTuningError(result.message)
-    return SmcControl(result.design, label=f"smc-{index}")
-
-
 def _lqr_controller(plant, maxima_arg):
     spec = bryson_weights(_load_maxima(_resolve(maxima_arg)))
     return LqrControl(solve_lqr(plant, spec).k_gain)
@@ -211,7 +210,7 @@ def cmd_simulate(args) -> int:
         if args.tuning is None:
             raise ConfigError("--tuning is required for the smc controller")
         config = _tuning_config(args)
-        controller = _smc_controller(plant, modal, config, config.index)
+        controller = SmcControl(_tuned_design(plant, modal, config), label=f"smc-{config.index}")
     else:
         if args.maxima is None:
             raise ConfigError("--maxima is required for the lqr controller")
@@ -238,8 +237,9 @@ def cmd_compare(args) -> int:
     window = _window_from_args(args)
     config = load_tuning_config(_resolve(args.tuning))
 
-    controllers = [PassiveControl(), *(_smc_controller(plant, modal, config, index)
-                                       for index in ("jz2", "ju"))]
+    controllers = [PassiveControl(), *(
+        SmcControl(_tuned_design(plant, modal, replace(config, index=index)), label=f"smc-{index}")
+        for index in ("jz2", "ju"))]
     if args.maxima is not None:
         controllers.append(_lqr_controller(plant, args.maxima))
 
@@ -285,6 +285,7 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smctune",
@@ -349,8 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

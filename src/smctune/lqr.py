@@ -45,8 +45,8 @@ class MaxValues:
     def __post_init__(self):
         for name in ("z1", "z2", "z3", "z4", "u"):
             value = finite_number(f"maximum for {name}", getattr(self, name))
-            if value <= 0:
-                raise ConfigError(f"maximum for {name} must be positive")
+            if not 1e-150 <= value <= 1e150:  # so that 1/value^2 is a positive float
+                raise ConfigError(f"maximum for {name} must lie in [1e-150, 1e150], got {value}")
             object.__setattr__(self, name, value)
 
 

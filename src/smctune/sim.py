@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NumericalError, finite_number, read_text
-from .smc import SlidingDesign, control_force
-from .structure import AtmdParams, ModalModel, PlantStateSpace
+from .smc import SlidingDesign
+from .structure import PlantStateSpace
 
 __all__ = [
     "Accelerogram",
@@ -33,7 +33,6 @@ __all__ = [
     "summarize",
     "reaching_check",
     "ReachingReport",
-    "mechanical_energy",
     "write_trace_csv",
 ]
 
@@ -196,10 +195,10 @@ class FeedbackLaw:
     """A controller: static state feedback as ``simulate`` runs it.
 
     s = gain . z, summed as (g0 z0 + g2 z2) + (g1 z1 + g3 z3). Without a
-    relay the force is u = -s; with a relay (M0, epsilon) it is the saturated
-    relay ``control_force(s, M0, epsilon)`` and s is the sliding variable.
-    The gain must be four finite numbers, and a relay needs finite M0 > 0 and
-    epsilon > 0.
+    relay the force is u = -s; with a relay (M0, epsilon) s is the sliding
+    variable and u the saturated relay: -M0 sign(s) outside the boundary layer
+    |s| <= epsilon, -M0 s / epsilon inside it. The gain must be four finite
+    numbers, and a relay needs finite M0 > 0 and epsilon > 0.
     """
 
     gain: tuple[float, float, float, float]
@@ -220,17 +219,6 @@ class FeedbackLaw:
             if not (relay[0] > 0.0 and relay[1] > 0.0):
                 raise ConfigError(f"relay needs M0 > 0 and epsilon > 0, got {relay}")
             object.__setattr__(self, "relay", relay)
-
-    def sigma(self, z) -> float:
-        g0, g1, g2, g3 = self.gain
-        z0, z1, z2, z3 = np.asarray(z, dtype=float).tolist()
-        return (g0 * z0 + g2 * z2) + (g1 * z1 + g3 * z3)
-
-    def force(self, z) -> float:
-        s = self.sigma(z)
-        if self.relay is None:
-            return 0.0 - s  # +0.0, never -0.0, when s is zero
-        return control_force(s, *self.relay)
 
 
 def PassiveControl(label: str = "passive") -> FeedbackLaw:
@@ -343,7 +331,7 @@ def simulate(plant: PlantStateSpace, controller: FeedbackLaw, quake: Accelerogra
     x1 = xv[0]
     for i in range(n + 1):
         s = (g0 * y0 + g2 * y2) + (g1 * y1 + g3 * y3)
-        if relay:  # control_force(s, M0, eps), inlined
+        if relay:  # saturated relay: -M0 sign(s), ramp -M0 s / eps inside |s| <= eps
             u = -M0 if s > eps else (M0 if s < -eps else -M0 * s / eps)
             sv[i] = s
         else:
@@ -428,18 +416,6 @@ def reaching_check(trace: SimulationTrace, design: SlidingDesign) -> ReachingRep
         decay_violations=violations,
         max_abs_sigma=float(np.max(np.abs(sigma))),
     )
-
-
-def mechanical_energy(trace: SimulationTrace, modal: ModalModel,
-                      atmd: AtmdParams) -> np.ndarray:
-    """Kinetic plus elastic energy of the reduced structure and the damper.
-
-    E = 1/2 m0 z4^2 + 1/2 m_d (z4 + z3)^2 + 1/2 k0 z2^2 + 1/2 k_d z1^2.
-    With the actuator off, no friction, and no excitation this cannot grow.
-    """
-    z1, z2, z3, z4 = (trace.z[:, i] for i in range(4))
-    return (0.5 * modal.m0 * z4 ** 2 + 0.5 * atmd.m_d * (z4 + z3) ** 2
-            + 0.5 * modal.k0 * z2 ** 2 + 0.5 * atmd.k_d * z1 ** 2)
 
 
 #: rows converted to Python floats at a time. As Python floats a row costs

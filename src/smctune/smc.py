@@ -33,14 +33,10 @@ __all__ = [
     "sliding_polynomial",
     "sliding_vectors",
     "design_batch",
-    "ackermann_gain",
     "switching_gain",
-    "control_force",
     "design_sliding_controller",
 ]
 
-#: imaginary residue (relative) above which a "real" gain vector is rejected
-IMAG_TOL = 1e-9
 #: relative tolerance for verifying achieved pole locations
 POLE_PLACEMENT_TOL = 1e-6
 #: absolute tolerance of the identity eta.B = 1
@@ -187,31 +183,6 @@ def _polymul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.stack(out, axis=-1)
 
 
-def _real_polynomial(roots) -> np.ndarray:
-    """Real descending coefficients of prod_i (s - root_i).
-
-    Complex roots must come in conjugate pairs; each pair is folded into the
-    real quadratic s^2 - 2 Re(r) s + |r|^2.
-    """
-    remaining = [complex(r) for r in roots]
-    poly = np.ones(1)
-    while remaining:
-        r = remaining.pop(0)
-        if abs(r.imag) <= IMAG_TOL * max(1.0, abs(r)):
-            poly = _polymul(poly, np.array([1.0, -r.real]))
-            continue
-        conj = r.conjugate()
-        for i, other in enumerate(remaining):
-            if abs(other - conj) <= 1e-9 * max(1.0, abs(conj)):
-                remaining.pop(i)
-                break
-        else:
-            raise ConfigError(f"complex pole {r} has no conjugate partner; "
-                              "pole set must be closed under conjugation")
-        poly = _polymul(poly, np.array([1.0, -2.0 * r.real, abs(r) ** 2]))
-    return poly
-
-
 def ackermann_rows(plant: PlantStateSpace) -> np.ndarray:
     """Plant-invariant rows [e A^n; ...; e A; e], highest power first.
 
@@ -339,25 +310,6 @@ def design_batch(plant: PlantStateSpace, zeta, omega_n, lambda3, lambda4,
                        A1=A1, B1=B1, nu1=nu1, reject=reject)
 
 
-def ackermann_gain(plant: PlantStateSpace, poles) -> np.ndarray:
-    """Full-state feedback gain placing all four closed-loop poles.
-
-    k = e.P(A) where e is the last row of the inverse controllability matrix
-    and P the desired characteristic polynomial. The achieved spectrum is
-    verified against the request before returning.
-    """
-    poles = list(poles)
-    if len(poles) != len(plant.B):
-        raise ConfigError(f"need {len(plant.B)} poles, got {len(poles)}")
-    k = _apply(ackermann_rows(plant), _real_polynomial(poles)[None])
-    wanted = np.array([[complex(p) for p in poles]])
-    err = float(_placement_error(_closed_loop(plant, k), wanted)[0])
-    if err > POLE_PLACEMENT_TOL:
-        raise NumericalError(f"pole placement failed for {wanted[0]} "
-                             f"(relative error {err:.3e})")
-    return k[0]
-
-
 def switching_gain(chi: float, varpi: float, varsigma: float = 0.5) -> float:
     """Relay amplitude M0 = varpi + chi + varsigma.
 
@@ -372,20 +324,6 @@ def switching_gain(chi: float, varpi: float, varsigma: float = 0.5) -> float:
     if varsigma <= 0:
         raise ConfigError("varsigma must be positive")
     return varpi + chi + varsigma
-
-
-def control_force(sigma: float, M0: float, epsilon: float = 0.05) -> float:
-    """Saturated relay: -M0 sign(sigma) with a linear ramp of slope -M0/epsilon
-    inside the boundary layer |sigma| <= epsilon. M0 and epsilon must be
-    finite numbers, or ConfigError."""
-    M0, epsilon = finite_number("M0", M0), finite_number("epsilon", epsilon)
-    if epsilon <= 0:
-        raise ConfigError(f"epsilon must be positive, got {epsilon}")
-    if sigma > epsilon:
-        return -M0
-    if sigma < -epsilon:
-        return M0
-    return -M0 * sigma / epsilon
 
 
 def design_sliding_controller(plant: PlantStateSpace, zeta: float, omega_n: float,

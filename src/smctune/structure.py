@@ -35,6 +35,8 @@ __all__ = [
 #: reciprocal condition number below which the controllability matrix is
 #: treated as singular
 CTRB_RCOND_MIN = 1e-12
+#: most stories a building may have; M, C and K are dense N x N (24 MB at 1000)
+MAX_STORIES = 1000
 
 
 def _readonly(a, dtype=float) -> np.ndarray:
@@ -49,7 +51,7 @@ class RayleighSpec:
 
     ``pairs`` holds (mode_index, damping_ratio) with 1-based mode indices.
     A single pair selects mass-proportional damping (a1 = 0), which is the
-    only option for a single-story model.
+    only option for a single-story model; two pairs need two distinct modes.
     """
 
     pairs: tuple[tuple[int, float], ...]
@@ -66,6 +68,8 @@ class RayleighSpec:
             if not 0.0 < ratio < 1.0:
                 raise ConfigError(f"damping ratio must lie in (0, 1), got {ratio}")
             pairs.append((int(mode), ratio))
+        if len(pairs) == 2 and pairs[0][0] == pairs[1][0]:
+            raise ConfigError(f"Rayleigh modes must differ, got mode {pairs[0][0]} twice")
         object.__setattr__(self, "pairs", tuple(pairs))
 
 
@@ -161,28 +165,24 @@ def build_shear_building(masses, stiffnesses, damping) -> BuildingModel:
     """Assemble M, C, K for an N-story shear building.
 
     ``damping`` is either a RayleighSpec or an explicit N x N symmetric
-    tridiagonal matrix in N*s/m. Stiffness assembly follows the usual
-    interstory convention: K[i,i] = k_i + k_{i+1} with k_{N+1} = 0 and
-    off-diagonals -k_{i+1}.
+    tridiagonal matrix in N*s/m, and N is at most MAX_STORIES. Stiffness
+    assembly follows the usual interstory convention: K[i,i] = k_i + k_{i+1}
+    with k_{N+1} = 0 and off-diagonals -k_{i+1}.
     """
     m = np.asarray(masses, dtype=float)
     k = np.asarray(stiffnesses, dtype=float)
     if m.ndim != 1 or k.ndim != 1 or len(m) != len(k):
         raise ConfigError("masses and stiffnesses must be 1-D lists of equal length")
     n = len(m)
-    if n < 1:
-        raise ConfigError("need at least one story")
+    if not 1 <= n <= MAX_STORIES:
+        raise ConfigError(f"need 1 to {MAX_STORIES} stories, got {n}")
     if not (np.all(np.isfinite(m)) and np.all(np.isfinite(k))):
         raise ConfigError("masses and stiffnesses must be finite")
     if np.any(m <= 0) or np.any(k <= 0):
         raise ConfigError("all masses and stiffnesses must be positive")
 
     M = np.diag(m)
-    K = np.zeros((n, n))
-    for i in range(n):
-        K[i, i] = k[i] + (k[i + 1] if i + 1 < n else 0.0)
-        if i + 1 < n:
-            K[i, i + 1] = K[i + 1, i] = -k[i + 1]
+    K = np.diag(k + np.append(k[1:], 0.0)) - np.diag(k[1:], 1) - np.diag(k[1:], -1)
 
     if isinstance(damping, RayleighSpec):
         C = rayleigh_damping(M, K, damping.pairs)
@@ -303,8 +303,12 @@ def controllability_matrix(A, B) -> np.ndarray:
 
 
 def controllability_rcond(A, B) -> float:
-    """Reciprocal 2-norm condition number of the controllability matrix."""
-    s = np.linalg.svd(controllability_matrix(A, B), compute_uv=False)
+    """Reciprocal 2-norm condition number of the controllability matrix;
+    NumericalError if the powers of A overflow."""
+    Co = controllability_matrix(A, B)
+    if not np.all(np.isfinite(Co)):
+        raise NumericalError("controllability matrix overflows")
+    s = np.linalg.svd(Co, compute_uv=False)
     return float(s[-1] / s[0]) if s[0] > 0 else 0.0
 
 
@@ -410,9 +414,10 @@ def load_building_config(source) -> BuildingSetup:
         delta=_number(bounds_cfg, "delta", f"{context} bounds"),
         varpi=_number(bounds_cfg, "varpi", f"{context} bounds"),
     )
-    participation = cfg.get("participation_factor")
-    if participation is not None:
-        participation = finite_number(f"{context} participation_factor", participation)
+    participation = None
+    if "participation_factor" in cfg:
+        participation = finite_number(f"{context} participation_factor",
+                                      cfg["participation_factor"])
 
     building = build_shear_building(masses, stiffnesses, damping)
     return BuildingSetup(building=building, atmd=atmd, bounds=bounds,

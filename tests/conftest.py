@@ -16,6 +16,8 @@ from scipy.integrate import quad
 import smctune as st
 from smctune.errors import ConfigError, NumericalError
 from smctune.fixtures import fixture_path
+from smctune.smc import (POLE_PLACEMENT_TOL, _apply, _closed_loop, _placement_error,
+                         _polymul, ackermann_rows)
 
 
 @dataclass(frozen=True)
@@ -243,12 +245,97 @@ def all_poles(zeta, omega_n, lambda3, lambda4) -> tuple:
     return (*st.smc.dominant_pair(zeta, omega_n), lambda3, lambda4)
 
 
+#: imaginary residue (relative) above which a "real" gain vector is rejected
+IMAG_TOL = 1e-9
+
+
+def _real_polynomial(roots) -> np.ndarray:
+    """Real descending coefficients of prod_i (s - root_i).
+
+    Complex roots must come in conjugate pairs; each pair is folded into the
+    real quadratic s^2 - 2 Re(r) s + |r|^2.
+    """
+    remaining = [complex(r) for r in roots]
+    poly = np.ones(1)
+    while remaining:
+        r = remaining.pop(0)
+        if abs(r.imag) <= IMAG_TOL * max(1.0, abs(r)):
+            poly = _polymul(poly, np.array([1.0, -r.real]))
+            continue
+        conj = r.conjugate()
+        for i, other in enumerate(remaining):
+            if abs(other - conj) <= 1e-9 * max(1.0, abs(conj)):
+                remaining.pop(i)
+                break
+        else:
+            raise ConfigError(f"complex pole {r} has no conjugate partner; "
+                              "pole set must be closed under conjugation")
+        poly = _polymul(poly, np.array([1.0, -2.0 * r.real, abs(r) ** 2]))
+    return poly
+
+
+def ackermann_gain(plant: st.PlantStateSpace, poles) -> np.ndarray:
+    """Full-state feedback gain placing all four closed-loop poles.
+
+    k = e.P(A) where e is the last row of the inverse controllability matrix
+    and P the desired characteristic polynomial. The achieved spectrum is
+    verified against the request before returning. The independent oracle
+    for the gains of ``design_batch``: it places an arbitrary pole set,
+    complex pairs folded by ``_real_polynomial``, instead of building P from
+    a layout.
+    """
+    poles = list(poles)
+    if len(poles) != len(plant.B):
+        raise ConfigError(f"need {len(plant.B)} poles, got {len(poles)}")
+    k = _apply(ackermann_rows(plant), _real_polynomial(poles)[None])
+    wanted = np.array([[complex(p) for p in poles]])
+    err = float(_placement_error(_closed_loop(plant, k), wanted)[0])
+    if err > POLE_PLACEMENT_TOL:
+        raise NumericalError(f"pole placement failed for {wanted[0]} "
+                             f"(relative error {err:.3e})")
+    return k[0]
+
+
+def control_law(controller: st.FeedbackLaw, z) -> tuple[float, float]:
+    """(s, u) of ``controller`` at state z, written out once for the tests.
+
+    s = gain . z, summed as (g0 z0 + g2 z2) + (g1 z1 + g3 z3). Without a
+    relay u = -s; with a relay (M0, epsilon) u is the saturated relay:
+    -M0 sign(s) outside the boundary layer |s| <= epsilon and the ramp
+    -M0 s / epsilon inside it. ``simulate`` inlines the same law in its step
+    loop, so the stored u and sigma of a trace must equal this, bit for bit.
+    """
+    g0, g1, g2, g3 = controller.gain
+    z0, z1, z2, z3 = np.asarray(z, dtype=float).tolist()
+    s = (g0 * z0 + g2 * z2) + (g1 * z1 + g3 * z3)
+    if controller.relay is None:
+        return s, 0.0 - s  # +0.0, never -0.0, when s is zero
+    M0, epsilon = controller.relay
+    if s > epsilon:
+        return s, -M0
+    if s < -epsilon:
+        return s, M0
+    return s, -M0 * s / epsilon
+
+
+def mechanical_energy(trace: st.SimulationTrace, modal: st.ModalModel,
+                      atmd: st.AtmdParams) -> np.ndarray:
+    """Kinetic plus elastic energy of the reduced structure and the damper.
+
+    E = 1/2 m0 z4^2 + 1/2 m_d (z4 + z3)^2 + 1/2 k0 z2^2 + 1/2 k_d z1^2.
+    With the actuator off, no friction, and no excitation this cannot grow.
+    """
+    z1, z2, z3, z4 = (trace.z[:, i] for i in range(4))
+    return (0.5 * modal.m0 * z4 ** 2 + 0.5 * atmd.m_d * (z4 + z3) ** 2
+            + 0.5 * modal.k0 * z2 ** 2 + 0.5 * atmd.k_d * z1 ** 2)
+
+
 def reference_rk4(plant: st.PlantStateSpace, controller, quake: st.Accelerogram, t_end: float,
                   mu_d: float = 0.0, dt: float | None = None, z0=None) -> st.SimulationTrace:
     """The numpy RK4 loop that ``simulate`` replaced, kept as its oracle.
 
-    Same integration scheme, but on length-4 arrays with BLAS matvecs and the
-    controller's own ``force``/``sigma`` per step.
+    Same integration scheme, but on length-4 arrays with BLAS matvecs and
+    ``control_law`` per step.
     """
     dt = quake.dt if dt is None else float(dt)
     if dt <= 0:
@@ -276,13 +363,13 @@ def reference_rk4(plant: st.PlantStateSpace, controller, quake: st.Accelerogram,
     S = np.zeros(n + 1)
     Z[0] = z
     if is_smc:
-        S[0] = controller.sigma(z)
+        S[0] = control_law(controller, z)[0]
 
     half = 0.5 * dt
     sixth = dt / 6.0
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
         for i in range(n):
-            u = controller.force(z)
+            u = control_law(controller, z)[1]
             U[i] = u
             xg0, xgm, xg1 = xg_half[2 * i], xg_half[2 * i + 1], xg_half[2 * i + 2]
 
@@ -299,8 +386,8 @@ def reference_rk4(plant: st.PlantStateSpace, controller, quake: st.Accelerogram,
                                      f"(controller={controller.label})")
             Z[i + 1] = z
             if is_smc:
-                S[i + 1] = controller.sigma(z)
-        U[n] = controller.force(z)
+                S[i + 1] = control_law(controller, z)[0]
+        U[n] = control_law(controller, z)[1]
 
     return st.SimulationTrace(t=dt * np.arange(n + 1), z=Z, u=U, sigma=S,
                               xg=xg_half[::2], label=controller.label)

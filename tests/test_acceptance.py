@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import smctune as st
-from conftest import (all_poles, make_random_plant, make_random_poles, quad_kappa,
-                      rational_response, resolvent_response, scalar_path_mismatches,
-                      transfer_of)
+from conftest import (ackermann_gain, all_poles, make_random_plant, make_random_poles,
+                      quad_kappa, rational_response, resolvent_response,
+                      scalar_path_mismatches, transfer_of)
 
 
 def _report(n: int, text: str) -> None:
@@ -43,7 +43,7 @@ def test_criterion_2_sliding_identities():
         rhs = poles["lambda4"] * eta
         assert np.linalg.norm(lhs - rhs) <= 1e-9 * max(1.0, np.linalg.norm(rhs))
         # the general Ackermann placement stays an independent oracle for k
-        k_placed = st.ackermann_gain(plant, all_poles(**poles))
+        k_placed = ackermann_gain(plant, all_poles(**poles))
         assert np.linalg.norm(k - k_placed) <= 1e-9 * np.linalg.norm(k_placed)
         eigs = np.sort_complex(np.linalg.eigvals(design.A1))
         wanted = np.sort_complex(np.array(all_poles(**poles)[:3]))
@@ -115,7 +115,7 @@ def test_criterion_5_lqr_baseline(quanser):
         [complex(-3.52, 6.82), complex(-3.52, -6.82), -6.77, -77.98]))
     assert np.allclose(np.sort_complex(result.closed_loop_eigs), wanted, rtol=0.01)
     assert result.residual < 1e-8
-    k_placed = st.ackermann_gain(plant, result.closed_loop_eigs)
+    k_placed = ackermann_gain(plant, result.closed_loop_eigs)
     err = np.linalg.norm(k_placed - result.k_gain) / np.linalg.norm(result.k_gain)
     assert err < 1e-6
     _report(5, f"gain within 0.5%, residual {result.residual:.1e}, "

@@ -1,10 +1,15 @@
 """Command-line behaviour: files, exit codes, reproducibility."""
+import copy
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hst
 
 from smctune.cli import main
+from smctune.fixtures import fixture_path
 
 
 def test_model_command(tmp_path, capsys):
@@ -77,6 +82,22 @@ def test_tune_infeasible_exit_3(tmp_path, capsys):
     # the structured result is still written for inspection
     written = json.loads((tmp_path / "out" / "result.json").read_text())
     assert written["feasible"] is False and written["message"]
+
+
+@pytest.mark.parametrize("command", ["freq", "simulate", "compare"])
+def test_infeasible_tuning_exits_3_with_prefix(tmp_path, capsys, command):
+    # every command that needs the tuned design takes it from one helper
+    tuning = tmp_path / "t.json"
+    tuning.write_text(json.dumps({
+        "kappa_bars": {"kappa1": 0.2, "kappa2": 1e-9, "kappa3": 0.7, "kappa_u": 12.0}}))
+    argv = {"freq": ["freq"],
+            "simulate": ["simulate", "--controller", "smc", "--quake", "synthetic_quake.csv"],
+            "compare": ["compare", "--quake", "synthetic_quake.csv"]}[command]
+    out = tmp_path / "out"
+    rc = main(argv + ["--config", "quanser.json", "--tuning", str(tuning), "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("infeasible: ")
+    assert not out.exists()
 
 
 def test_lqr_command(tmp_path):
@@ -363,3 +384,66 @@ def test_unreadable_input_file_exits_2(tmp_path, capsys, role, content):
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+# Exit-code contract: one key of a bundled Quanser input replaced by a bad or
+# edge value, or removed, and the command run on it. The run must return one
+# of the documented codes without raising, and a number replaced by anything
+# that is not a finite number must exit 2.
+MISSING = object()
+EDGE_VALUES = hst.sampled_from([
+    0, 0.0, -1, -1.0, -0.0, 1e308, -1e308, 5e-324, -5e-324, float("inf"), float("-inf"),
+    float("nan"), "", "1.0", "abc", True, False, None, [], [1.0], [[0.16]], {}, MISSING])
+INPUTS = {  # kind: (bundled file, command line with the file as {})
+    "building": ("quanser.json", [
+        ["model", "--config", "{}"],
+        ["tune", "--config", "{}", "--tuning", "quanser_tuning.json"],
+        ["lqr", "--config", "{}", "--maxima", "quanser_lqr_maxima.json"]]),
+    "tuning": ("quanser_tuning.json", [
+        ["tune", "--config", "quanser.json", "--tuning", "{}"]]),
+    "maxima": ("quanser_lqr_maxima.json", [
+        ["lqr", "--config", "quanser.json", "--maxima", "{}"]]),
+}
+
+
+def _key_paths(node, prefix=()):
+    """The path of every dict key and list index in a parsed JSON value."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _key_paths(child, prefix + (key,))
+
+
+def _is_finite_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+@pytest.mark.parametrize("kind", sorted(INPUTS))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=hst.data())
+def test_exit_code_contract_on_one_bad_key(tmp_path, kind, data):
+    name, commands = INPUTS[kind]
+    raw = json.loads(fixture_path(name).read_text())
+    path = data.draw(hst.sampled_from(list(_key_paths(raw))), label="path")
+    value = data.draw(EDGE_VALUES | hst.floats(), label="value")
+    edited = copy.deepcopy(raw)
+    parent = edited
+    for key in path[:-1]:
+        parent = parent[key]
+    original = parent[path[-1]]
+    if value is MISSING:
+        parent.pop(path[-1])
+    else:
+        parent[path[-1]] = value
+    config = tmp_path / name
+    config.write_text(json.dumps(edited))
+    for argv in commands:
+        rc = main([str(config) if arg == "{}" else arg for arg in argv]
+                  + ["--out", str(tmp_path / "out")])
+        assert rc in (0, 2, 3, 4), (argv[0], path, value)
+        if (value is not MISSING and _is_finite_number(original)
+                and not _is_finite_number(value)):
+            assert rc == 2, (argv[0], path, value)

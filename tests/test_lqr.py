@@ -5,7 +5,7 @@ import scipy.linalg
 
 import smctune as st
 from smctune.errors import ConfigError, NumericalError
-from conftest import make_random_plant
+from conftest import ackermann_gain, make_random_plant
 
 PRINTED_GAIN = np.array([200.0, -1276.5, 49.0, 17.32])
 PRINTED_EIGS = np.sort_complex(np.array(
@@ -120,7 +120,7 @@ def test_ackermann_cross_check(quanser, quanser_lqr):
     # optimal closed-loop poles must reproduce the optimal gain
     _, _, plant = quanser
     _, result = quanser_lqr
-    k_placed = st.ackermann_gain(plant, result.closed_loop_eigs)
+    k_placed = ackermann_gain(plant, result.closed_loop_eigs)
     err = np.linalg.norm(k_placed - result.k_gain) / np.linalg.norm(result.k_gain)
     assert err < 1e-6
 
@@ -154,9 +154,12 @@ def test_equivalent_polespec_requires_complex_pair():
         st.lqr_equivalent_polespec(result, omega0=1.0)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), "abc", "0.05", True, None])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "abc", "0.05", True, None,
+                                   1e308, 1e151, 1e-151, 5e-324])
 def test_max_values_reject_non_finite_or_non_numeric(value):
     # a NaN maximum used to reach the Riccati solver, a string leaked a
-    # ValueError from float(), and True counted as 1.0
+    # ValueError from float(), and True counted as 1.0; beyond [1e-150, 1e150]
+    # the weight 1/value^2 raised OverflowError or ZeroDivisionError, or was inf
     with pytest.raises(ConfigError, match="z1"):
         st.MaxValues(z1=value, z2=0.01, z3=0.32, z4=0.1, u=10.0)
+

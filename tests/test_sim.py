@@ -7,7 +7,7 @@ import pytest
 import smctune as st
 from smctune.errors import ConfigError, NumericalError
 from smctune.fixtures import fixture_path
-from conftest import reference_rk4, reference_trace_csv
+from conftest import control_law, mechanical_energy, reference_rk4, reference_trace_csv
 
 
 def _write(path, text):
@@ -132,7 +132,7 @@ def test_step_halving_convergence(five_story, tune_five_jz2, quake):
 def test_passive_energy_decays_after_motion_ends(five_story, quake):
     setup, modal, plant = five_story
     trace = st.simulate(plant, st.PassiveControl(), quake, 40.0, mu_d=0.0)
-    energy = st.mechanical_energy(trace, modal, setup.atmd)
+    energy = mechanical_energy(trace, modal, setup.atmd)
     tail = energy[trace.t >= 36.0]  # record is quiet from 35 s on
     assert np.all(np.diff(tail) <= 1e-12 * tail[0])
 
@@ -226,11 +226,14 @@ def test_smc_controller_requires_gain(five_story):
 
 
 @pytest.mark.parametrize("relay", [{"epsilon": 0.0}, {"epsilon": -0.05}, {"M0": -24.0},
-                                   {"M0": float("nan")}])
+                                   {"M0": float("nan")}, {"epsilon": float("nan")},
+                                   {"M0": float("inf")}, {"epsilon": float("inf")},
+                                   {"epsilon": "0.05"}])
 def test_smc_controller_rejects_bad_relay(tune_five_jz2, relay):
     # each used to reach the kernel: epsilon = 0 raised ZeroDivisionError at
     # step 0, a negative epsilon or M0 ran without error (M0 < 0 pushes the
-    # wrong way), and a NaN M0 failed later as a "state diverged" NumericalError
+    # wrong way), and a NaN M0 failed later as a "state diverged" NumericalError;
+    # the relay is checked here only, as the kernel applies it unchecked
     design = replace(tune_five_jz2.result.design, **relay)
     with pytest.raises(ConfigError, match="relay"):
         st.SmcControl(design)
@@ -245,7 +248,7 @@ def test_feedback_law_built_directly_runs(five_story, tune_five_jz2, quake):
     assert direct == st.SmcControl(design)
     trace = st.simulate(plant, direct, quake, 2.0)
     assert trace.label == "smc" and np.any(trace.sigma)
-    assert [direct.force(z) for z in trace.z] == trace.u.tolist()
+    assert [control_law(direct, z)[1] for z in trace.z] == trace.u.tolist()
 
 
 def _controller(kind, plant, tuned):
@@ -275,10 +278,11 @@ def test_kernel_matches_numpy_reference(request, building, kind):
     for new, old in [*zip(trace.z.T, oracle.z.T), (trace.u, oracle.u),
                      (trace.sigma, oracle.sigma)]:
         assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
-    # the kernel applies exactly the controller's public law
-    assert [controller.force(z) for z in trace.z] == trace.u.tolist()
+    # the kernel applies exactly the controller's law
+    law = [control_law(controller, z) for z in trace.z]
+    assert [u for _, u in law] == trace.u.tolist()
     if kind == "smc":
-        assert [controller.sigma(z) for z in trace.z] == trace.sigma.tolist()
+        assert [s for s, _ in law] == trace.sigma.tolist()
     else:
         assert not np.any(trace.sigma)
 

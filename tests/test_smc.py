@@ -6,7 +6,7 @@ import pytest
 
 import smctune as st
 from smctune.errors import ConfigError
-from conftest import all_poles, make_random_plant, make_random_poles
+from conftest import ackermann_gain, all_poles, control_law, make_random_plant, make_random_poles
 
 LQR_POLES = [complex(-3.52, 6.82), complex(-3.52, -6.82), -6.77, -77.98]
 LQR_GAIN = np.array([200.0, -1276.5, 49.0, 17.32])
@@ -15,7 +15,7 @@ LQR_GAIN = np.array([200.0, -1276.5, 49.0, 17.32])
 def test_ackermann_reproduces_printed_gain(quanser):
     # placing the (rounded) printed poles recovers the printed gain
     _, _, plant = quanser
-    k = st.ackermann_gain(plant, LQR_POLES)
+    k = ackermann_gain(plant, LQR_POLES)
     assert np.allclose(k, LQR_GAIN, rtol=0.02)
 
 
@@ -23,8 +23,8 @@ def test_ackermann_own_spectrum_gives_zero_gain(quanser):
     # P(A) with A's own characteristic polynomial annihilates A
     _, _, plant = quanser
     poles = np.linalg.eigvals(plant.A)
-    k = st.ackermann_gain(plant, poles)
-    scale = np.linalg.norm(st.ackermann_gain(plant, LQR_POLES))
+    k = ackermann_gain(plant, poles)
+    scale = np.linalg.norm(ackermann_gain(plant, LQR_POLES))
     assert np.linalg.norm(k) < 1e-8 * scale
 
 
@@ -33,7 +33,7 @@ def test_ackermann_random_placement_oracle():
     for _ in range(100):
         plant = make_random_plant(rng)
         poles = make_random_poles(rng)
-        k = st.ackermann_gain(plant, all_poles(**poles))
+        k = ackermann_gain(plant, all_poles(**poles))
         achieved = np.sort_complex(np.linalg.eigvals(plant.A - np.outer(plant.B, k)))
         wanted = np.sort_complex(np.array(all_poles(**poles)))
         err = np.linalg.norm(achieved - wanted) / np.linalg.norm(wanted)
@@ -43,7 +43,7 @@ def test_ackermann_random_placement_oracle():
 def test_ackermann_rejects_unpaired_complex_poles(quanser):
     _, _, plant = quanser
     with pytest.raises(ConfigError, match="conjugate"):
-        st.ackermann_gain(plant, [complex(-1, 2), complex(-1, 3), -4.0, -5.0])
+        ackermann_gain(plant, [complex(-1, 2), complex(-1, 3), -4.0, -5.0])
 
 
 def test_sliding_vector_five_story(five_story):
@@ -66,7 +66,7 @@ def test_eta_identities_random():
         poles = make_random_poles(rng)
         design = st.design_sliding_controller(plant, **poles)
         eta, k = design.eta, design.k_gain
-        k_placed = st.ackermann_gain(plant, all_poles(**poles))
+        k_placed = ackermann_gain(plant, all_poles(**poles))
         assert np.linalg.norm(k - k_placed) <= 1e-9 * np.linalg.norm(k_placed)
         assert abs(eta @ plant.B - 1.0) < 1e-9
         closed = plant.A - np.outer(plant.B, k)
@@ -138,27 +138,33 @@ def test_switching_gain_rejects_non_finite_or_non_numeric(args):
         st.switching_gain(*args)
 
 
+def _relay_force(sigma, M0, epsilon):
+    """The relay's force at sliding variable sigma: a relay law reading z0 alone."""
+    return control_law(st.FeedbackLaw((1.0, 0.0, 0.0, 0.0), (M0, epsilon)),
+                       (sigma, 0.0, 0.0, 0.0))[1]
+
+
 @pytest.mark.parametrize("args", [(0.1, 10.0, float("nan")), (0.1, float("nan"), 0.05),
                                   (0.1, float("inf"), 0.05), (0.1, 10.0, "0.05")])
 def test_control_force_rejects_non_finite_or_non_numeric(args):
-    with pytest.raises(ConfigError):
-        st.control_force(*args)
+    with pytest.raises(ConfigError, match="relay"):
+        _relay_force(*args)
 
 
 def test_control_force_branches():
     M0, eps = 10.0, 0.05
-    assert st.control_force(0.0, M0, eps) == 0.0
-    assert st.control_force(2 * eps, M0, eps) == -M0
-    assert st.control_force(-2 * eps, M0, eps) == M0
-    assert st.control_force(eps / 2, M0, eps) == pytest.approx(-5.0)
-    assert st.control_force(-eps / 2, M0, eps) == pytest.approx(5.0)
+    assert _relay_force(0.0, M0, eps) == 0.0
+    assert _relay_force(2 * eps, M0, eps) == -M0
+    assert _relay_force(-2 * eps, M0, eps) == M0
+    assert _relay_force(eps / 2, M0, eps) == pytest.approx(-5.0)
+    assert _relay_force(-eps / 2, M0, eps) == pytest.approx(5.0)
 
 
 def test_control_force_shape_properties():
     # odd, bounded by M0, continuous, non-increasing
     M0, eps = 3.0, 0.05
     sigmas = np.linspace(-0.5, 0.5, 2001)
-    u = np.array([st.control_force(s, M0, eps) for s in sigmas])
+    u = np.array([_relay_force(s, M0, eps) for s in sigmas])
     assert np.max(np.abs(u)) <= M0 + 1e-12
     assert np.allclose(u, -u[::-1], atol=1e-12)
     assert np.all(np.diff(u) <= 1e-12)

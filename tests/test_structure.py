@@ -205,8 +205,8 @@ def test_controllability_rcond_detects_singular_pair():
     assert st.controllability_rcond(A, B) == 0.0
     plant = st.PlantStateSpace(A=A, B=B, D=np.zeros(4),
                                bounds=st.ExcitationBounds(1.0, 0.0))
-    with pytest.raises(NumericalError):
-        st.ackermann_gain(plant, [-1.0, -2.0, -3.0, -4.0])
+    with pytest.raises(NumericalError, match="controllability matrix is singular"):
+        st.smc.ackermann_rows(plant)
 
 
 def test_load_building_config_validation(tmp_path):
@@ -216,6 +216,36 @@ def test_load_building_config_validation(tmp_path):
         st.load_building_config(bad)
     with pytest.raises(ConfigError, match="floors"):
         st.load_building_config({"damping": {}, "atmd": {}, "bounds": {}})
+    # a shear building's modal frequencies are distinct, so a repeated mode
+    # index is the one way to make the two-point Rayleigh solve singular
+    raw = json.loads(fixture_path("five_story.json").read_text())
+    with pytest.raises(ConfigError, match="mode 1 twice"):
+        st.load_building_config({**raw, "damping": {"rayleigh": {"modes": [1, 1],
+                                                                 "ratios": [0.01, 0.02]}}})
+    with pytest.raises(ConfigError, match="participation_factor must be a number"):
+        st.load_building_config({**raw, "participation_factor": None})
+
+
+def test_story_count_is_capped_before_any_matrix(monkeypatch):
+    # a 2 MB file can list 50 000 floors, whose dense M, C and K would need
+    # 60 GB, so the count is checked before any N x N array is made
+    raw = json.loads(fixture_path("five_story.json").read_text())
+    raw["floors"] = raw["floors"][:1] * (st.structure.MAX_STORIES + 1)
+
+    def refuse(*args, **kwargs):
+        pytest.fail("an N x N matrix was built before the story count was checked")
+
+    monkeypatch.setattr(st.structure.np, "diag", refuse)
+    with pytest.raises(ConfigError, match="need 1 to 1000 stories, got 1001"):
+        st.load_building_config(raw)
+
+
+def test_overflowing_plant_is_a_numerical_error():
+    # damping of 1e154 N*s/m gives a finite A whose cube overflows
+    modal = st.ModalModel(phi0=np.ones(1), m0=1.84, c0=1e154, k0=226.23, beta0=1.0,
+                          omega0=11.1)
+    with pytest.raises(NumericalError, match="overflows"):
+        st.assemble_plant(modal, st.AtmdParams(0.79, 0.0, 6.85), st.ExcitationBounds(3.0, 0.5))
 
 
 @pytest.mark.parametrize("delta, varpi", [(float("nan"), 0.5), (float("inf"), 0.5),
