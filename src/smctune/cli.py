@@ -16,12 +16,12 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleTuningError, NumericalError, read_json_object
+from .errors import ConfigError, InfeasibleTuningError, NumericalError, keyed, read_json_object
 from .fixtures import fixture_path
 from .freqresp import dump_frequency_response
 from .lqr import MaxValues, bryson_weights, lqr_equivalent_polespec, solve_lqr
@@ -48,7 +48,8 @@ def _resolve(path_arg: str) -> Path:
 
 
 def _write_json(payload: dict, path: Path) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=np.ndarray.tolist)
+                    + "\n")
 
 
 def _out_dir(args) -> Path:
@@ -67,28 +68,11 @@ def _load_setup(args):
     return setup, modal, plant
 
 
-def _modal_dict(modal) -> dict:
-    return {
-        "phi0": [float(x) for x in modal.phi0],
-        "m0": modal.m0, "c0": modal.c0, "k0": modal.k0,
-        "beta0": modal.beta0, "omega0": modal.omega0,
-    }
-
-
-def _plant_dict(plant) -> dict:
-    return {
-        "A": [[float(x) for x in row] for row in plant.A],
-        "B": [float(x) for x in plant.B],
-        "D": [float(x) for x in plant.D],
-        "bounds": {"delta": plant.bounds.delta, "varpi": plant.bounds.varpi},
-    }
-
-
 def cmd_model(args) -> int:
     setup, modal, plant = _load_setup(args)
     out = _out_dir(args)
-    _write_json(_modal_dict(modal), out / "modal.json")
-    _write_json(_plant_dict(plant), out / "plant.json")
+    _write_json(asdict(modal), out / "modal.json")
+    _write_json(asdict(plant), out / "plant.json")
     print(f"stories: {setup.building.n_stories}")
     print(f"m0 = {modal.m0:.4f} kg   k0 = {modal.k0:.4f} N/m   c0 = {modal.c0:.4f} N*s/m")
     print(f"omega0 = {modal.omega0:.4f} rad/s   beta0 = {modal.beta0:.4f}")
@@ -126,12 +110,10 @@ def cmd_tune(args) -> int:
 
 
 def _load_maxima(path: Path) -> MaxValues:
-    raw = read_json_object(path)
-    try:
-        return MaxValues(z1=raw["z1_max"], z2=raw["z2_max"], z3=raw["z3_max"],
-                         z4=raw["z4_max"], u=raw["u_max"])
-    except KeyError as exc:
-        raise ConfigError(f"{path}: needs numeric z1_max..z4_max and u_max") from exc
+    raw = keyed(read_json_object(path), str(path),
+                ("z1_max", "z2_max", "z3_max", "z4_max", "u_max"))
+    return MaxValues(z1=raw["z1_max"], z2=raw["z2_max"], z3=raw["z3_max"],
+                     z4=raw["z4_max"], u=raw["u_max"])
 
 
 def cmd_lqr(args) -> int:
@@ -141,9 +123,9 @@ def cmd_lqr(args) -> int:
     equivalent = lqr_equivalent_polespec(result, modal.omega0)
     out = _out_dir(args)
     payload = {
-        "Q": [float(q) for q in np.diag(spec.Q)],
+        "Q": np.diag(spec.Q),
         "r": spec.r,
-        "k_gain": [float(x) for x in result.k_gain],
+        "k_gain": result.k_gain,
         "closed_loop_eigs": [[e.real, e.imag] for e in result.closed_loop_eigs],
         "riccati_residual": result.residual,
         "equivalent": equivalent,

@@ -7,7 +7,7 @@ from numbers import Real
 from pathlib import Path
 
 __all__ = ["ConfigError", "NumericalError", "InfeasibleDesignError", "InfeasibleTuningError",
-           "finite_number", "read_text", "read_json_object"]
+           "finite_number", "read_text", "read_json_object", "keyed"]
 
 
 class ConfigError(ValueError):
@@ -70,4 +70,18 @@ def read_json_object(path) -> dict:
         raise ConfigError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(value, dict):
         raise ConfigError(f"{path}: top level must be an object")
+    return value
+
+
+def keyed(value, context: str, required, optional=()) -> dict:
+    """``value``, or ConfigError unless it is an object (dict) with every
+    ``required`` key and no key outside ``required`` and ``optional``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{context} must be an object")
+    for key in required:
+        if key not in value:
+            raise ConfigError(f"missing key '{key}' in {context}")
+    for key in value:
+        if key not in required and key not in optional:
+            raise ConfigError(f"unknown key {key!r} in {context}")
     return value

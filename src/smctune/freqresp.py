@@ -9,7 +9,6 @@ the uniform ``frequency_grid`` only sets the plotted grid.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,6 +218,5 @@ def dump_frequency_response(design: SlidingDesign, delta: float, path,
     squares = _band_squares(transfer_batch(designs), delta, omega)
     rows = np.column_stack([omega] + [np.sqrt(sq[0]) for sq in squares]).tolist()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["omega_rad_s", "H1", "H2", "H3", "Hu"])
-        writer.writerows([repr(x) for x in row] for row in rows)
+        fh.write("omega_rad_s,H1,H2,H3,Hu\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)

@@ -74,7 +74,9 @@ def bryson_weights(max_values: MaxValues) -> LqrSpec:
 
 
 def _riccati_residual(A, B, Q, r, P) -> float:
-    res = A.T @ P + P @ A - np.outer(P @ B, B @ P) / r + Q
+    """Max-abs CARE residual; inf (or NaN) if it overflows, which no caller accepts."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = A.T @ P + P @ A - np.outer(P @ B, B @ P) / r + Q
     return float(np.abs(res).max())
 
 
@@ -164,7 +166,7 @@ def solve_riccati(A, B, Q, r):
 def solve_lqr(plant: PlantStateSpace, spec: LqrSpec) -> LqrResult:
     """LQR gain for the 4-state plant under the given weights."""
     P, k, eigs, residual = solve_riccati(plant.A, plant.B, spec.Q, spec.r)
-    if residual > RESIDUAL_MAX:
+    if not residual <= RESIDUAL_MAX:    # a NaN residual fails too
         raise NumericalError(f"Riccati residual {residual:.3e} exceeds {RESIDUAL_MAX:.0e}")
     return LqrResult(P=P, k_gain=k, closed_loop_eigs=eigs, residual=residual)
 

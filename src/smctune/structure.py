@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, finite_number, read_json_object
+from .errors import ConfigError, NumericalError, finite_number, keyed, read_json_object
 
 __all__ = [
     "RayleighSpec",
@@ -218,7 +218,10 @@ def natural_modes(M, K):
     d = np.sqrt(np.diag(M))
     if np.any(d <= 0):
         raise NumericalError("mass matrix has non-positive diagonal entries")
-    S = K / d[:, None] / d[None, :]
+    with np.errstate(over="ignore"):    # an overflow is raised below
+        S = K / d[:, None] / d[None, :]
+    if not np.all(np.isfinite(S)):
+        raise NumericalError("mass-normalized stiffness matrix overflows")
     try:
         eigvals, Y = np.linalg.eigh(S)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on symmetric rarely fails
@@ -233,32 +236,28 @@ def rayleigh_damping(M, K, mode_pairs=((1, 0.01), (2, 0.01))) -> np.ndarray:
 
     Solves zeta_i = (a0/w_i + a1*w_i)/2 at the two specified modal
     frequencies. With a single pair only the mass-proportional term is used:
-    C = 2*zeta*w*M.
+    C = 2*zeta*w*M. The pairs follow the rules of RayleighSpec, and each mode
+    must exist.
     """
+    pairs = RayleighSpec(tuple(mode_pairs)).pairs
     M = np.asarray(M, dtype=float)
     K = np.asarray(K, dtype=float)
     freqs, _ = natural_modes(M, K)
     n = len(freqs)
-
-    pairs = tuple(mode_pairs)
-    for mode, ratio in pairs:
-        if not 1 <= mode <= n:
+    for mode, _ in pairs:
+        if mode > n:
             raise ConfigError(f"mode index {mode} out of range 1..{n}")
-        if not 0.0 < ratio < 1.0:
-            raise ConfigError(f"damping ratio must lie in (0, 1), got {ratio}")
 
     if len(pairs) == 1:
         mode, ratio = pairs[0]
         a0, a1 = 2.0 * ratio * freqs[mode - 1], 0.0
-    elif len(pairs) == 2:
+    else:
         (m1, z1), (m2, z2) = pairs
         w1, w2 = freqs[m1 - 1], freqs[m2 - 1]
         if abs(w1 - w2) <= 1e-9 * max(w1, w2):
             raise NumericalError("coincident modal frequencies make the Rayleigh solve singular")
         A = np.array([[1.0 / (2.0 * w1), w1 / 2.0], [1.0 / (2.0 * w2), w2 / 2.0]])
         a0, a1 = np.linalg.solve(A, [z1, z2])
-    else:
-        raise ConfigError("Rayleigh damping needs one or two (mode, ratio) pairs")
 
     return a0 * M + a1 * K
 
@@ -278,10 +277,13 @@ def modal_reduce(building: BuildingModel) -> ModalModel:
     phi0 = raw / top
 
     M, C, K = building.M, building.C, building.K
-    m0 = float(phi0 @ M @ phi0)
-    c0 = float(phi0 @ C @ phi0)
-    k0 = float(phi0 @ K @ phi0)
-    beta0 = float(phi0 @ M @ np.ones(building.n_stories)) / m0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        m0 = float(phi0 @ M @ phi0)
+        c0 = float(phi0 @ C @ phi0)
+        k0 = float(phi0 @ K @ phi0)
+        beta0 = float(phi0 @ M @ np.ones(building.n_stories)) / m0
+    if not np.all(np.isfinite([m0, c0, k0, beta0])):
+        raise NumericalError("modal mass, damping or stiffness overflows")
     return ModalModel(
         phi0=_readonly(phi0),
         m0=m0,
@@ -305,7 +307,8 @@ def controllability_matrix(A, B) -> np.ndarray:
 def controllability_rcond(A, B) -> float:
     """Reciprocal 2-norm condition number of the controllability matrix;
     NumericalError if the powers of A overflow."""
-    Co = controllability_matrix(A, B)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        Co = controllability_matrix(A, B)
     if not np.all(np.isfinite(Co)):
         raise NumericalError("controllability matrix overflows")
     s = np.linalg.svd(Co, compute_uv=False)
@@ -341,16 +344,10 @@ def assemble_plant(modal: ModalModel, atmd: AtmdParams, bounds: ExcitationBounds
     return PlantStateSpace(A=_readonly(A), B=_readonly(B), D=_readonly(D), bounds=bounds)
 
 
-def _require(cfg: dict, key: str, context: str):
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{context} must be an object")
-    if key not in cfg:
-        raise ConfigError(f"missing key '{key}' in {context}")
-    return cfg[key]
-
-
-def _number(cfg: dict, key: str, context: str) -> float:
-    return finite_number(f"{context} {key}", _require(cfg, key, context))
+def _numbers(value, context: str, required, optional=()) -> dict:
+    """The keyed object ``value`` with each entry a finite float."""
+    return {key: finite_number(f"{context} {key}", number)
+            for key, number in keyed(value, context, required, optional).items()}
 
 
 def load_building_config(source) -> BuildingSetup:
@@ -364,64 +361,61 @@ def load_building_config(source) -> BuildingSetup:
                      | {"matrix": [[..], ..]},
           "atmd": {"mass": .., "stiffness": .., "damping": .., "coulomb": ..},
           "bounds": {"delta": .., "varpi": ..},
-          "participation_factor": 1.0   # optional beta0 override
+          "participation_factor": 1.0,  # optional beta0 override
+          "label": ".."                 # optional string
         }
 
-    All numbers SI.
+    All numbers SI; ``coulomb`` defaults to 0. ``damping`` holds exactly one
+    kind, and a key outside this schema, at any level, is a ConfigError.
     """
     if isinstance(source, dict):
         cfg, context = source, "building config"
     else:
         cfg, context = read_json_object(source), str(source)
+    cfg = keyed(cfg, context, ("floors", "damping", "atmd", "bounds"),
+                ("label", "participation_factor"))
 
-    floors = _require(cfg, "floors", context)
+    floors = cfg["floors"]
     if not isinstance(floors, list) or not floors:
         raise ConfigError(f"{context}: 'floors' must be a non-empty list")
-    masses = [_number(f, "mass", f"{context} floor {i + 1}") for i, f in enumerate(floors)]
-    stiffnesses = [_number(f, "stiffness", f"{context} floor {i + 1}")
-                   for i, f in enumerate(floors)]
+    floors = [_numbers(f, f"{context} floor {i + 1}", ("mass", "stiffness"))
+              for i, f in enumerate(floors)]
 
-    damping_cfg = _require(cfg, "damping", context)
-    if not isinstance(damping_cfg, dict):
-        raise ConfigError(f"{context} damping must be an object")
+    damping_cfg = keyed(cfg["damping"], f"{context} damping", (), ("rayleigh", "matrix"))
+    if len(damping_cfg) != 1:
+        raise ConfigError(f"{context}: damping needs exactly one of 'rayleigh' or 'matrix'")
     if "rayleigh" in damping_cfg:
-        ray = damping_cfg["rayleigh"]
-        modes = _require(ray, "modes", f"{context} damping.rayleigh")
-        ratios = _require(ray, "ratios", f"{context} damping.rayleigh")
+        ray = keyed(damping_cfg["rayleigh"], f"{context} damping.rayleigh", ("modes", "ratios"))
+        modes, ratios = ray["modes"], ray["ratios"]
         if not (isinstance(modes, list) and isinstance(ratios, list)
                 and len(modes) == len(ratios)):
             raise ConfigError(f"{context}: rayleigh modes and ratios must be lists that pair up")
         damping = RayleighSpec(tuple(zip(modes, ratios)))
-    elif "matrix" in damping_cfg:
+    else:
         rows = damping_cfg["matrix"]
         if not (isinstance(rows, list)
                 and all(isinstance(row, list) and len(row) == len(rows) for row in rows)):
             raise ConfigError(f"{context}: damping.matrix must be a square list of rows")
         damping = np.array([[finite_number(f"{context} damping.matrix entry", c) for c in row]
                             for row in rows])
-    else:
-        raise ConfigError(f"{context}: damping needs either 'rayleigh' or 'matrix'")
 
-    atmd_cfg = _require(cfg, "atmd", context)
-    atmd = AtmdParams(
-        m_d=_number(atmd_cfg, "mass", f"{context} atmd"),
-        k_d=_number(atmd_cfg, "stiffness", f"{context} atmd"),
-        c_d=_number(atmd_cfg, "damping", f"{context} atmd"),
-        mu_d=finite_number(f"{context} atmd coulomb", atmd_cfg.get("coulomb", 0.0)),
-    )
-    bounds_cfg = _require(cfg, "bounds", context)
-    bounds = ExcitationBounds(
-        delta=_number(bounds_cfg, "delta", f"{context} bounds"),
-        varpi=_number(bounds_cfg, "varpi", f"{context} bounds"),
-    )
+    atmd = _numbers(cfg["atmd"], f"{context} atmd", ("mass", "stiffness", "damping"),
+                    ("coulomb",))
+    atmd = AtmdParams(m_d=atmd["mass"], k_d=atmd["stiffness"], c_d=atmd["damping"],
+                      mu_d=atmd.get("coulomb", 0.0))
+    bounds = ExcitationBounds(**_numbers(cfg["bounds"], f"{context} bounds", ("delta", "varpi")))
     participation = None
     if "participation_factor" in cfg:
         participation = finite_number(f"{context} participation_factor",
                                       cfg["participation_factor"])
+    label = cfg.get("label", "")
+    if not isinstance(label, str):
+        raise ConfigError(f"{context} label must be a string, got {label!r}")
 
-    building = build_shear_building(masses, stiffnesses, damping)
+    building = build_shear_building([f["mass"] for f in floors],
+                                    [f["stiffness"] for f in floors], damping)
     return BuildingSetup(building=building, atmd=atmd, bounds=bounds,
-                         participation=participation, label=str(cfg.get("label", "")))
+                         participation=participation, label=label)
 
 
 def plant_from_setup(setup: BuildingSetup) -> tuple[ModalModel, PlantStateSpace]:

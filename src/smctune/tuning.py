@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (ConfigError, InfeasibleTuningError, NumericalError, finite_number,
+from .errors import (ConfigError, InfeasibleTuningError, NumericalError, finite_number, keyed,
                      read_json_object)
 from .freqresp import (DEFAULT_BAND, DEFAULT_SAMPLES, band_peak, band_table, transfer_batch,
                        zero_rows)
@@ -162,21 +162,18 @@ def _inclusive_grid(lo: float, hi: float, step: float) -> np.ndarray:
 
 
 def load_tuning_config(source) -> TuningConfig:
-    """Parse a TuningConfig from JSON (path, or dict already parsed)."""
-    cfg = dict(source) if isinstance(source, dict) else read_json_object(source)
-    if "kappa_bars" not in cfg:
-        raise ConfigError("tuning config needs a 'kappa_bars' object")
-    bars = cfg.pop("kappa_bars")
-    try:
-        kappa_bars = KappaBounds(kappa1=bars["kappa1"], kappa2=bars["kappa2"],
-                                 kappa3=bars["kappa3"], kappa_u=bars["kappa_u"])
-    except (KeyError, TypeError) as exc:
-        raise ConfigError("kappa_bars needs numeric kappa1, kappa2, kappa3, kappa_u") from exc
-    known = set(TuningConfig.__dataclass_fields__)
-    unknown = set(cfg) - known
-    if unknown:
-        raise ConfigError(f"unknown tuning config keys: {sorted(unknown)}")
-    return TuningConfig(kappa_bars=kappa_bars, **cfg)
+    """Parse a TuningConfig from JSON (path, or dict already parsed).
+
+    ``kappa_bars`` holds exactly the four ceilings; every other key is an
+    optional TuningConfig field, and any other key is a ConfigError.
+    """
+    if isinstance(source, dict):
+        cfg, context = source, "tuning config"
+    else:
+        cfg, context = read_json_object(source), str(source)
+    cfg = keyed(cfg, context, ("kappa_bars",), TuningConfig.__dataclass_fields__)
+    bars = keyed(cfg["kappa_bars"], f"{context} kappa_bars", KAPPA_NAMES)
+    return TuningConfig(**{**cfg, "kappa_bars": KappaBounds(**bars)})
 
 
 @dataclass(frozen=True)
@@ -309,14 +306,16 @@ def tune(plant: PlantStateSpace, modal: ModalModel, config: TuningConfig) -> Tun
     rows = ackermann_rows(plant)
     psi1, psi2, defined = zero_rows(sliding_vectors(rows, zeta, omega_n, lambda3))
     zw = zeta * omega_n
-    with np.errstate(invalid="ignore"):
+    # a row whose numbers overflow holds inf or NaN, which fails the screen,
+    # the design checks or a kappa ceiling (every comparison with NaN is False)
+    with np.errstate(all="ignore"):
         screened = np.flatnonzero(defined & (np.abs(psi1) / zw >= config.gamma1)
                                   & (np.abs(psi2) / zw >= config.gamma2))
-    designs = design_batch(plant, zeta[screened], omega_n[screened], lambda3[screened],
-                           lambda4[screened], rows)
-    valid = designs.reject == 0
-    designs, ratio = designs.take(valid), ratio[screened[valid]]
-    kappa = band_table(transfer_batch(designs), plant.bounds.delta, config.band)
+        designs = design_batch(plant, zeta[screened], omega_n[screened], lambda3[screened],
+                               lambda4[screened], rows)
+        valid = designs.reject == 0
+        designs, ratio = designs.take(valid), ratio[screened[valid]]
+        kappa = band_table(transfer_batch(designs), plant.bounds.delta, config.band)
 
     bars = config.kappa_bars
     feasible = np.flatnonzero((kappa[:, 0] <= bars.kappa1) & (kappa[:, 1] <= bars.kappa2)

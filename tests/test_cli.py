@@ -2,12 +2,17 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hst
 
+import smctune
 from smctune.cli import main
 from smctune.fixtures import fixture_path
 
@@ -346,6 +351,99 @@ def test_lqr_maxima_non_finite_or_non_numeric_exits_2(tmp_path, capsys, value, c
     assert not out.exists()
 
 
+# every object level of the three inputs: (bundled file, path to the object)
+UNKNOWN_KEY_CASES = {
+    "building-top": ("five_story.json", ()),
+    "building-floor": ("five_story.json", ("floors", 2)),
+    "building-damping": ("five_story.json", ("damping",)),
+    "building-rayleigh": ("five_story.json", ("damping", "rayleigh")),
+    "building-atmd": ("five_story.json", ("atmd",)),
+    "building-bounds": ("five_story.json", ("bounds",)),
+    "tuning-top": ("five_story_tuning.json", ()),
+    "tuning-kappa_bars": ("five_story_tuning.json", ("kappa_bars",)),
+    "maxima": ("quanser_lqr_maxima.json", ()),
+}
+
+
+def _node(root, path):
+    for key in path:
+        root = root[key]
+    return root
+
+
+def _run_on_edited(tmp_path, name, edit):
+    """Run the command that reads bundled file ``name`` on an edited copy;
+    (exit code, output directory, edited file)."""
+    raw = json.loads(fixture_path(name).read_text())
+    edit(raw)
+    path = tmp_path / name
+    path.write_text(json.dumps(raw))
+    argv = {"five_story.json": ["model", "--config", str(path)],
+            "five_story_tuning.json": ["tune", "--config", "five_story.json",
+                                       "--tuning", str(path)],
+            "quanser_lqr_maxima.json": ["lqr", "--config", "quanser.json",
+                                        "--maxima", str(path)]}[name]
+    out = tmp_path / "out"
+    return main(argv + ["--out", str(out)]), out, path
+
+
+@pytest.mark.parametrize("key", ["coulmb", "participation_facter", "extra"])
+@pytest.mark.parametrize("case", sorted(UNKNOWN_KEY_CASES))
+def test_unknown_key_at_any_level_exits_2(tmp_path, capsys, case, key):
+    # a misspelt optional key would otherwise keep its default and run on
+    name, path = UNKNOWN_KEY_CASES[case]
+    rc, out, edited = _run_on_edited(tmp_path, name,
+                                     lambda raw: _node(raw, path).update({key: 1.0}))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"unknown key '{key}' in {edited}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: raw["damping"].update(matrix=[[0.1] * 5] * 5),
+     "damping needs exactly one of 'rayleigh' or 'matrix'"),
+    (lambda raw: raw.update(damping={}),
+     "damping needs exactly one of 'rayleigh' or 'matrix'"),
+    (lambda raw: raw.update(label=5), "label must be a string, got 5"),
+    (lambda raw: raw.update(label=None), "label must be a string, got None"),
+], ids=["both-damping-kinds", "no-damping-kind", "label-number", "label-null"])
+def test_building_damping_kind_and_label_checked(tmp_path, capsys, edit, message):
+    rc, out, _ = _run_on_edited(tmp_path, "five_story.json", edit)
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_model_overflow_writes_one_stderr_line(tmp_path):
+    # numpy's overflow warning must not reach stderr before the error line
+    raw = json.loads(fixture_path("quanser.json").read_text())
+    raw["damping"] = {"matrix": [[1e154]]}
+    config = tmp_path / "building.json"
+    config.write_text(json.dumps(raw))
+    src = Path(smctune.__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "-m", "smctune.cli", "model", "--config", str(config),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.returncode == 4
+    assert run.stderr == "numerical failure: controllability matrix overflows\n"
+
+
+def test_every_csv_has_lf_line_endings(tmp_path):
+    common = ["--config", "quanser.json", "--out", str(tmp_path)]
+    sim = ["--quake", "synthetic_quake.csv", "--t-end", "1"]
+    for argv in (["tune", "--tuning", "quanser_tuning.json"],
+                 ["freq", "--tuning", "quanser_tuning.json"],
+                 ["simulate", *sim, "--controller", "passive"],
+                 ["compare", *sim, "--tuning", "quanser_tuning.json"]):
+        assert main(argv + common) == 0
+    written = sorted(path.name for path in tmp_path.glob("*.csv"))
+    assert written == ["comparison.csv", "frequency_response.csv", "mesh.csv", "trace.csv"]
+    for name in written:
+        assert b"\r" not in (tmp_path / name).read_bytes(), name
+
+
 NOT_UTF8 = b'{"label": "caf\xe9"}'
 
 
@@ -386,10 +484,11 @@ def test_unreadable_input_file_exits_2(tmp_path, capsys, role, content):
     assert not out.exists()
 
 
-# Exit-code contract: one key of a bundled Quanser input replaced by a bad or
-# edge value, or removed, and the command run on it. The run must return one
-# of the documented codes without raising, and a number replaced by anything
-# that is not a finite number must exit 2.
+# Exit-code contract: one key of a bundled input replaced by a bad or edge
+# value, or removed, or one unknown key inserted into one of its objects, and
+# the command run on it. The run must return one of the documented codes
+# without raising or warning, a number replaced by anything that is not a
+# finite number must exit 2, and so must an unknown key.
 MISSING = object()
 EDGE_VALUES = hst.sampled_from([
     0, 0.0, -1, -1.0, -0.0, 1e308, -1e308, 5e-324, -5e-324, float("inf"), float("-inf"),
@@ -399,8 +498,13 @@ INPUTS = {  # kind: (bundled file, command line with the file as {})
         ["model", "--config", "{}"],
         ["tune", "--config", "{}", "--tuning", "quanser_tuning.json"],
         ["lqr", "--config", "{}", "--maxima", "quanser_lqr_maxima.json"]]),
+    "building-five": ("five_story.json", [
+        ["model", "--config", "{}"],
+        ["tune", "--config", "{}", "--tuning", "five_story_tuning.json"]]),
     "tuning": ("quanser_tuning.json", [
         ["tune", "--config", "quanser.json", "--tuning", "{}"]]),
+    "tuning-five": ("five_story_tuning.json", [
+        ["tune", "--config", "five_story.json", "--tuning", "{}"]]),
     "maxima": ("quanser_lqr_maxima.json", [
         ["lqr", "--config", "quanser.json", "--maxima", "{}"]]),
 }
@@ -420,6 +524,7 @@ def _is_finite_number(value) -> bool:
             and math.isfinite(value))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("kind", sorted(INPUTS))
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -427,23 +532,29 @@ def _is_finite_number(value) -> bool:
 def test_exit_code_contract_on_one_bad_key(tmp_path, kind, data):
     name, commands = INPUTS[kind]
     raw = json.loads(fixture_path(name).read_text())
-    path = data.draw(hst.sampled_from(list(_key_paths(raw))), label="path")
-    value = data.draw(EDGE_VALUES | hst.floats(), label="value")
     edited = copy.deepcopy(raw)
-    parent = edited
-    for key in path[:-1]:
-        parent = parent[key]
-    original = parent[path[-1]]
-    if value is MISSING:
-        parent.pop(path[-1])
+    if data.draw(hst.booleans(), label="insert an unknown key"):
+        objects = [path for path in [(), *_key_paths(raw)] if isinstance(_node(raw, path), dict)]
+        path = data.draw(hst.sampled_from(objects), label="object")
+        key = "unknown " + data.draw(hst.text(max_size=8), label="key")
+        _node(edited, path)[key] = data.draw(hst.floats() | hst.text(), label="value")
+        must_fail = True
     else:
-        parent[path[-1]] = value
+        path = data.draw(hst.sampled_from(list(_key_paths(raw))), label="path")
+        value = data.draw(EDGE_VALUES | hst.floats(), label="value")
+        parent = _node(edited, path[:-1])
+        original = parent[path[-1]]
+        if value is MISSING:
+            parent.pop(path[-1])
+        else:
+            parent[path[-1]] = value
+        must_fail = (value is not MISSING and _is_finite_number(original)
+                     and not _is_finite_number(value))
     config = tmp_path / name
     config.write_text(json.dumps(edited))
     for argv in commands:
         rc = main([str(config) if arg == "{}" else arg for arg in argv]
                   + ["--out", str(tmp_path / "out")])
-        assert rc in (0, 2, 3, 4), (argv[0], path, value)
-        if (value is not MISSING and _is_finite_number(original)
-                and not _is_finite_number(value)):
-            assert rc == 2, (argv[0], path, value)
+        assert rc in (0, 2, 3, 4), (argv[0], edited)
+        if must_fail:
+            assert rc == 2, (argv[0], edited)

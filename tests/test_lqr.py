@@ -163,3 +163,11 @@ def test_max_values_reject_non_finite_or_non_numeric(value):
     with pytest.raises(ConfigError, match="z1"):
         st.MaxValues(z1=value, z2=0.01, z3=0.32, z4=0.1, u=10.0)
 
+
+
+def test_nan_riccati_residual_is_rejected(quanser, monkeypatch):
+    # NaN > RESIDUAL_MAX is False, so the bound must be written to fail on NaN
+    _, _, plant = quanser
+    monkeypatch.setattr(st.lqr, "_riccati_residual", lambda *args: float("nan"))
+    with pytest.raises(NumericalError, match="Riccati residual nan exceeds"):
+        st.solve_lqr(plant, st.bryson_weights(QUANSER_MAXIMA))

@@ -240,12 +240,35 @@ def test_story_count_is_capped_before_any_matrix(monkeypatch):
         st.load_building_config(raw)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_plant_is_a_numerical_error():
     # damping of 1e154 N*s/m gives a finite A whose cube overflows
     modal = st.ModalModel(phi0=np.ones(1), m0=1.84, c0=1e154, k0=226.23, beta0=1.0,
                           omega0=11.1)
     with pytest.raises(NumericalError, match="overflows"):
         st.assemble_plant(modal, st.AtmdParams(0.79, 0.0, 6.85), st.ExcitationBounds(3.0, 0.5))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_modes_are_a_numerical_error():
+    # a subnormal mass overflows K / sqrt(m_i m_j); a huge one overflows phi0 M phi0
+    with pytest.raises(NumericalError, match="stiffness matrix overflows"):
+        st.natural_modes(np.diag([5e-324]), np.diag([226.23]))
+    building = st.build_shear_building([1.7976931348623157e308] + [10.0] * 4, [12100.0] * 5,
+                                       np.zeros((5, 5)))
+    with pytest.raises(NumericalError, match="modal mass, damping or stiffness overflows"):
+        st.modal_reduce(building)
+
+
+@pytest.mark.parametrize("pairs", [((1, 1.5),), ((1, 0.0),), ((1, 0.01), (1, 0.02)),
+                                   ((0, 0.01),), ((1.5, 0.01),), (),
+                                   ((1, 0.01), (2, 0.01), (3, 0.01))])
+def test_rayleigh_damping_checks_pairs_as_rayleigh_spec(pairs):
+    M, K = np.diag([2.0, 3.0, 4.0]), np.diag([30.0, 20.0, 10.0])
+    with pytest.raises(ConfigError):
+        st.RayleighSpec(pairs)
+    with pytest.raises(ConfigError):
+        st.rayleigh_damping(M, K, pairs)
 
 
 @pytest.mark.parametrize("delta, varpi", [(float("nan"), 0.5), (float("inf"), 0.5),
