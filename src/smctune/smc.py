@@ -1,13 +1,14 @@
 """Sliding-mode controller synthesis for the 4-state building + damper plant.
 
-The design places three of the four closed-loop poles through the sliding
-vector eta and the fourth through the full-state gain. By Ackermann's formula
-both are e.P(A), with e the last row of the inverse controllability matrix and
-P the desired characteristic polynomial. Written in powers of A, e.P(A) is
-linear in the coefficients of P, so a whole stack of pole layouts costs a few
-elementwise products against the plant-invariant rows e A^i. On the plane
-sigma = eta.z = 0 the plant collapses to a third-order system (A1, B1) driven
-by the ground acceleration.
+The design places the three poles of the sliding dynamics through the
+sliding vector eta. By Ackermann's formula eta = e.P1(A), with e the last row
+of the inverse controllability matrix and P1 the cubic whose roots are the
+sliding poles; the relay u = -M0 sat(eta.z / epsilon) needs nothing else.
+Written in powers of A, e.P1(A) is linear in the coefficients of P1, so a whole
+stack of pole layouts costs a few elementwise products against the
+plant-invariant rows e A^i. On the plane sigma = eta.z = 0 the plant collapses
+to a third-order system (A1, B1) driven by the ground acceleration, and that
+system's spectrum is what each design is checked against.
 
 The synthesis works on stacks of designs, one row per pole layout, and the
 single-design functions are the same code with a stack of one. All arithmetic
@@ -27,7 +28,7 @@ from .structure import PlantStateSpace, controllability_matrix
 __all__ = [
     "SlidingDesign",
     "DesignBatch",
-    "real_poles",
+    "real_pole",
     "dominant_pair",
     "ackermann_rows",
     "sliding_polynomial",
@@ -41,36 +42,28 @@ __all__ = [
 POLE_PLACEMENT_TOL = 1e-6
 #: absolute tolerance of the identity eta.B = 1
 ETA_B_TOL = 1e-9
-#: relative tolerance of the block-triangular form of the transformed loop
-BLOCK_TOL = 1e-6
 #: lambda3 = -LAMBDA3_FACTOR * zeta * omega_n unless given
 LAMBDA3_FACTOR = 3.0
-#: lambda4 = -LAMBDA4_FACTOR * zeta * omega_n unless given
-LAMBDA4_FACTOR = 10.0
 
 #: why a row of a DesignBatch was rejected, indexed by DesignBatch.reject
 #: (0 means accepted); the checks run in this order
 REJECT_MESSAGES = (
     None,
     "eta.B deviates from 1 beyond tolerance",
-    "pole placement failed: the achieved spectrum misses the requested poles",
     "transformation T is singular: last sliding weight is zero",
-    "eta, k_gain, and lambda4 are mutually inconsistent; "
-    "transformed dynamics are not block triangular",
+    "pole placement failed: the sliding dynamics miss the requested poles",
 )
 
 
 @dataclass(frozen=True)
 class SlidingDesign:
-    """One sliding design, a row of a DesignBatch: pole layout, sliding vector,
-    gain and reduced model, plus the relay's boundary layer and gain."""
+    """One sliding design, a row of a DesignBatch: pole layout, sliding vector
+    and reduced model, plus the relay's boundary layer and gain."""
 
     zeta: float
     omega_n: float          # rad/s
     lambda3: float
-    lambda4: float
     eta: np.ndarray
-    k_gain: np.ndarray
     alpha1: float
     alpha2: float
     A1: np.ndarray
@@ -85,9 +78,8 @@ class SlidingDesign:
     def to_dict(self) -> dict:
         return {
             "poles": {name: getattr(self, name)
-                      for name in ("zeta", "omega_n", "lambda3", "lambda4")},
+                      for name in ("zeta", "omega_n", "lambda3")},
             "eta": [float(x) for x in self.eta],
-            "k_gain": [float(x) for x in self.k_gain],
             "alpha1": self.alpha1,
             "alpha2": self.alpha2,
             "M0": self.M0,
@@ -108,9 +100,7 @@ class DesignBatch:
     zeta: np.ndarray        # (m,)
     omega_n: np.ndarray     # (m,) rad/s
     lambda3: np.ndarray     # (m,)
-    lambda4: np.ndarray     # (m,)
     eta: np.ndarray         # (m, 4)
-    k_gain: np.ndarray      # (m, 4)
     alpha1: np.ndarray      # (m,)
     alpha2: np.ndarray      # (m,)
     A1: np.ndarray          # (m, 3, 3)
@@ -139,14 +129,14 @@ class DesignBatch:
                                 for name, v in row.items()}, epsilon=epsilon)
 
 
-def real_poles(zeta, omega_n):
-    """(lambda3, lambda4) of a grid point, for scalars or arrays alike.
+def real_pole(zeta, omega_n):
+    """lambda3 of a grid point, for scalars or arrays alike.
 
-    lambda3 = -LAMBDA3_FACTOR zeta omega_n and lambda4 = -LAMBDA4_FACTOR
-    zeta omega_n: the one rule by which a (zeta, omega_n) point gets its real
-    poles, in the scan and in the defaults of design_sliding_controller.
+    lambda3 = -LAMBDA3_FACTOR zeta omega_n: the one rule by which a
+    (zeta, omega_n) point gets its real pole, in the scan and in the default
+    of design_sliding_controller.
     """
-    return -LAMBDA3_FACTOR * zeta * omega_n, -LAMBDA4_FACTOR * zeta * omega_n
+    return -LAMBDA3_FACTOR * zeta * omega_n
 
 
 def dominant_pair(zeta, omega_n):
@@ -170,17 +160,6 @@ def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for i in range(1, a.shape[-1]):
         total = total + a[..., i] * b[..., i]
     return total
-
-
-def _polymul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Product of polynomials in descending coefficients, row by row."""
-    n_p, n_q = p.shape[-1], q.shape[-1]
-    out = [None] * (n_p + n_q - 1)
-    for i in range(n_p):
-        for j in range(n_q):
-            term = p[..., i] * q[..., j]
-            out[i + j] = term if out[i + j] is None else out[i + j] + term
-    return np.stack(out, axis=-1)
 
 
 def ackermann_rows(plant: PlantStateSpace) -> np.ndarray:
@@ -217,9 +196,8 @@ def sliding_polynomial(zeta, omega_n, lambda3) -> np.ndarray:
     common denominator of every closed-loop response.
     """
     zeta, omega_n, lambda3 = (np.asarray(v, dtype=float) for v in (zeta, omega_n, lambda3))
-    ones = np.ones_like(zeta)
-    quadratic = np.stack([ones, 2.0 * zeta * omega_n, omega_n * omega_n], axis=-1)
-    return _polymul(quadratic, np.stack([ones, -lambda3], axis=-1))
+    c2, c1, root = 2.0 * zeta * omega_n, omega_n * omega_n, -lambda3
+    return np.stack([np.ones_like(zeta), root + c2, c2 * root + c1, c1 * root], axis=-1)
 
 
 def sliding_vectors(rows: np.ndarray, zeta, omega_n, lambda3) -> np.ndarray:
@@ -227,87 +205,69 @@ def sliding_vectors(rows: np.ndarray, zeta, omega_n, lambda3) -> np.ndarray:
     return _apply(rows, sliding_polynomial(zeta, omega_n, lambda3))
 
 
-def _closed_loop(plant: PlantStateSpace, k_gain: np.ndarray) -> np.ndarray:
-    """A - B k for each row of k, (m, 4, 4)."""
-    return plant.A - plant.B[:, None] * k_gain[:, None, :]
+def _placement_error(matrices: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Relative distance between the spectrum of each matrix and its requested
+    poles, per row; inf where either holds a value that is not finite."""
+    error = np.full(len(matrices), np.inf)
+    finite = np.isfinite(matrices).all(axis=(1, 2)) & np.isfinite(wanted).all(axis=1)
+    achieved = np.sort_complex(np.linalg.eigvals(matrices[finite]))
+    wanted = np.sort_complex(wanted[finite])
+    error[finite] = (np.linalg.norm(achieved - wanted, axis=-1)
+                     / np.maximum(1.0, np.linalg.norm(wanted, axis=-1)))
+    return error
 
 
-def _placement_error(closed: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """Relative distance between the achieved and the requested spectra, per row."""
-    achieved = np.sort_complex(np.linalg.eigvals(closed))
-    wanted = np.sort_complex(wanted)
-    return (np.linalg.norm(achieved - wanted, axis=-1)
-            / np.maximum(1.0, np.linalg.norm(wanted, axis=-1)))
-
-
-def _reduce(plant: PlantStateSpace, eta: np.ndarray, closed: np.ndarray,
-            lambda4: np.ndarray):
+def _reduce(plant: PlantStateSpace, eta: np.ndarray):
     """Sliding-mode dynamics by the transformation w = T z, row by row.
 
     T = [[I3, 0], [eta]] (det T = eta[3]) has the closed-form inverse
-    [[I3, 0], [t, 1/eta[3]]] with t = -eta[:3]/eta[3], so W = T closed T^-1,
-    with closed = A - B k, is assembled from elementwise products. In these coordinates the closed loop is block
-    triangular with the sliding poles in the upper-left block A1 and lambda4
-    alone in the bottom-right corner. alpha1 = -eta.D is the excitation
-    feedthrough; B1 collects the excitation path of the reduced states (for
-    this plant structure B1 = [0, 0, alpha2]). nu1 reconstructs the
-    equivalent control from z* and is independent of lambda4.
+    [[I3, 0], [t, 1/eta[3]]] with t = -eta[:3]/eta[3], so every product with
+    T^-1 is assembled from elementwise products. nu1 = -(eta A T^-1)[:3]
+    reconstructs the equivalent control from z*, and A1 = (A T^-1)[:3, :3] +
+    B[:3] nu1 is the loop on the plane under that control. alpha1 = -eta.D is
+    the excitation feedthrough; B1 collects the excitation path of the reduced
+    states (for this plant structure B1 = [0, 0, alpha2]).
 
-    Returns (A1, B1, alpha1, alpha2, nu1, singular, inconsistent); the last
-    two flag rows whose T is singular or whose W is not block triangular.
+    Returns (A1, B1, alpha1, alpha2, nu1, singular); the last flags rows whose
+    T is singular, and whose A1 is therefore not finite.
     """
     singular = np.abs(eta[:, 3]) <= 1e-12 * np.maximum(1.0, np.sqrt(rowdot(eta, eta)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_last = 1.0 / eta[:, 3]
-        t_row = -eta[:, :3] / eta[:, 3:4]
-        X = np.empty_like(closed)                       # (A - B k) T^-1
-        X[:, :, :3] = closed[:, :, :3] + closed[:, :, 3:4] * t_row[:, None, :]
-        X[:, :, 3] = closed[:, :, 3] * inv_last[:, None]
-        W_last = rowdot(eta[:, None, :], np.swapaxes(X, 1, 2))  # row 3 of W
-        scale = np.maximum(1.0, np.maximum(np.abs(X[:, :3]).max(axis=(1, 2)),
-                                           np.abs(W_last).max(axis=1)))
-        inconsistent = ~((np.abs(W_last[:, :3]).max(axis=1) <= BLOCK_TOL * scale)
-                         & (np.abs(W_last[:, 3] - lambda4) <= BLOCK_TOL * scale))
-        A1 = X[:, :3, :3].copy()
-        alpha1 = -rowdot(eta, plant.D)
-        B1 = plant.D[:3] + alpha1[:, None] * plant.B[:3]
-        eta_A = rowdot(eta[:, None, :], plant.A.T)
-        nu1 = -(eta_A[:, :3] + eta_A[:, 3:4] * t_row)
-    return A1, B1, alpha1, B1[:, 2].copy(), nu1, singular, inconsistent
+    t_row = -eta[:, :3] / eta[:, 3:4]
+    eta_A = rowdot(eta[:, None, :], plant.A.T)
+    nu1 = -(eta_A[:, :3] + eta_A[:, 3:4] * t_row)
+    A1 = (plant.A[:3, :3] + plant.A[:3, 3:4] * t_row[:, None, :]
+          + plant.B[:3, None] * nu1[:, None, :])
+    alpha1 = -rowdot(eta, plant.D)
+    B1 = plant.D[:3] + alpha1[:, None] * plant.B[:3]
+    return A1, B1, alpha1, B1[:, 2].copy(), nu1, singular
 
 
-def design_batch(plant: PlantStateSpace, zeta, omega_n, lambda3, lambda4,
+def design_batch(plant: PlantStateSpace, zeta, omega_n, lambda3,
                  rows: np.ndarray | None = None) -> DesignBatch:
     """Synthesize and check the sliding design of every row of a pole stack.
 
     ``rows`` are the plant's ``ackermann_rows``, built here when omitted.
-    Each row is checked as the single-design path always did: eta.B = 1 to
-    ETA_B_TOL; the spectrum of A - B k against the requested poles by
-    ``eigvals`` at POLE_PLACEMENT_TOL; T nonsingular; and W block triangular
-    at BLOCK_TOL. The first failing check is recorded in ``reject``.
+    Each row is checked on the loop the scan scores, in this order: eta.B = 1
+    to ETA_B_TOL; T nonsingular; and the spectrum of A1 against the three
+    sliding poles by ``eigvals`` at POLE_PLACEMENT_TOL. The first failing
+    check is recorded in ``reject``. A row whose numbers overflow holds inf
+    or NaN, fails a check and warns nothing.
     """
-    zeta, omega_n, lambda3, lambda4 = (np.asarray(v, dtype=float).reshape(-1)
-                                       for v in (zeta, omega_n, lambda3, lambda4))
+    zeta, omega_n, lambda3 = (np.asarray(v, dtype=float).reshape(-1)
+                              for v in (zeta, omega_n, lambda3))
     if rows is None:
         rows = ackermann_rows(plant)
-    sliding = sliding_polynomial(zeta, omega_n, lambda3)
-    full = _polymul(sliding, np.stack([np.ones_like(lambda4), -lambda4], axis=-1))
-    eta = _apply(rows, sliding)
-    k_gain = _apply(rows, full)
-
-    closed = _closed_loop(plant, k_gain)
-    wanted = np.stack([*dominant_pair(zeta, omega_n), lambda3, lambda4], axis=-1)
-    A1, B1, alpha1, alpha2, nu1, singular, inconsistent = _reduce(plant, eta, closed, lambda4)
-
-    checks = (np.abs(rowdot(eta, plant.B) - 1.0) > ETA_B_TOL,
-              _placement_error(closed, wanted) > POLE_PLACEMENT_TOL,
-              singular, inconsistent)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        eta = sliding_vectors(rows, zeta, omega_n, lambda3)
+        A1, B1, alpha1, alpha2, nu1, singular = _reduce(plant, eta)
+        wanted = np.stack([*dominant_pair(zeta, omega_n), lambda3], axis=-1)
+        checks = (~(np.abs(rowdot(eta, plant.B) - 1.0) <= ETA_B_TOL), singular,
+                  ~(_placement_error(A1, wanted) <= POLE_PLACEMENT_TOL))
     reject = np.zeros(len(zeta), dtype=int)
     for code in range(len(checks), 0, -1):     # the first failing check wins
         reject[checks[code - 1]] = code
-    return DesignBatch(zeta=zeta, omega_n=omega_n, lambda3=lambda3, lambda4=lambda4,
-                       eta=eta, k_gain=k_gain, alpha1=alpha1, alpha2=alpha2,
-                       A1=A1, B1=B1, nu1=nu1, reject=reject)
+    return DesignBatch(zeta=zeta, omega_n=omega_n, lambda3=lambda3, eta=eta,
+                       alpha1=alpha1, alpha2=alpha2, A1=A1, B1=B1, nu1=nu1, reject=reject)
 
 
 def switching_gain(chi: float, varpi: float, varsigma: float = 0.5) -> float:
@@ -327,14 +287,13 @@ def switching_gain(chi: float, varpi: float, varsigma: float = 0.5) -> float:
 
 
 def design_sliding_controller(plant: PlantStateSpace, zeta: float, omega_n: float,
-                              lambda3: float | None = None, lambda4: float | None = None,
+                              lambda3: float | None = None,
                               epsilon: float = 0.05) -> SlidingDesign:
     """Synthesize the complete sliding design for one pole layout.
 
     The dominant pair has damping 0 < zeta < 1 and natural frequency
-    omega_n > 0 (rad/s); lambda3 and lambda4 must be negative and default to
-    the scan's rule (``real_poles``). lambda3 sets the third sliding pole;
-    lambda4 only shapes the reaching phase, and epsilon, the relay's boundary
+    omega_n > 0 (rad/s); lambda3, the third sliding pole, must be negative and
+    defaults to the scan's rule (``real_pole``). epsilon, the relay's boundary
     layer, must be positive. Each value must be a finite number, or
     ConfigError. This is ``design_batch`` with a stack of one. The
     switching gain is left unset; it follows from the force peak over the
@@ -345,12 +304,10 @@ def design_sliding_controller(plant: PlantStateSpace, zeta: float, omega_n: floa
         raise ConfigError(f"zeta must lie in (0, 1), got {zeta}")
     if omega_n <= 0.0:
         raise ConfigError(f"omega_n must be positive, got {omega_n}")
-    default3, default4 = real_poles(zeta, omega_n)
-    lambda3 = default3 if lambda3 is None else finite_number("lambda3", lambda3)
-    lambda4 = default4 if lambda4 is None else finite_number("lambda4", lambda4)
-    if lambda3 >= 0.0 or lambda4 >= 0.0:
-        raise ConfigError("lambda3 and lambda4 must be real and negative")
+    lambda3 = real_pole(zeta, omega_n) if lambda3 is None else finite_number("lambda3", lambda3)
+    if lambda3 >= 0.0:
+        raise ConfigError(f"lambda3 must be negative, got {lambda3}")
     epsilon = finite_number("epsilon", epsilon)
     if epsilon <= 0.0:
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
-    return design_batch(plant, zeta, omega_n, lambda3, lambda4).design(0, epsilon)
+    return design_batch(plant, zeta, omega_n, lambda3).design(0, epsilon)

@@ -22,7 +22,7 @@ from .errors import (ConfigError, InfeasibleTuningError, NumericalError, finite_
 from .freqresp import (DEFAULT_BAND, DEFAULT_SAMPLES, band_peak, band_table, transfer_batch,
                        zero_rows)
 from .smc import (DesignBatch, SlidingDesign, ackermann_rows, design_batch, dominant_pair,
-                  real_poles, sliding_vectors, switching_gain)
+                  real_pole, sliding_vectors, switching_gain)
 from .structure import ModalModel, PlantStateSpace
 
 __all__ = [
@@ -77,8 +77,8 @@ class TuningConfig:
 
     omega_nl/omega_nu/delta_omega are expressed as multiples of the dominant
     structural frequency omega0; zeta is dimensionless. Each grid point gets
-    its real poles lambda3 and lambda4 by ``smc.real_poles``. n_samples
-    sets only the plotted grid of ``smctune freq``; kappa and chi are exact.
+    its real pole lambda3 by ``smc.real_pole``. n_samples sets only the
+    plotted grid of ``smctune freq``; kappa and chi are exact.
     Every field is checked here, so a config that loads can be scanned: all
     numbers finite, 0 < zeta_l < zeta_u < 1, 0 < omega_nl < omega_nu, a band
     with lower < upper, 2 <= n_samples <= MAX_SAMPLES, and at most
@@ -301,7 +301,7 @@ def tune(plant: PlantStateSpace, modal: ModalModel, config: TuningConfig) -> Tun
     zeta = np.repeat(zetas, len(ratios))          # zeta-major scan order
     ratio = np.tile(ratios, len(zetas))
     omega_n = ratio * omega0
-    lambda3, lambda4 = real_poles(zeta, omega_n)
+    lambda3 = real_pole(zeta, omega_n)
 
     rows = ackermann_rows(plant)
     psi1, psi2, defined = zero_rows(sliding_vectors(rows, zeta, omega_n, lambda3))
@@ -312,7 +312,7 @@ def tune(plant: PlantStateSpace, modal: ModalModel, config: TuningConfig) -> Tun
         screened = np.flatnonzero(defined & (np.abs(psi1) / zw >= config.gamma1)
                                   & (np.abs(psi2) / zw >= config.gamma2))
         designs = design_batch(plant, zeta[screened], omega_n[screened], lambda3[screened],
-                               lambda4[screened], rows)
+                               rows)
         valid = designs.reject == 0
         designs, ratio = designs.take(valid), ratio[screened[valid]]
         kappa = band_table(transfer_batch(designs), plant.bounds.delta, config.band)

@@ -126,6 +126,18 @@ def test_freq_command(tmp_path):
     assert design["M0"] == pytest.approx(13.52, rel=0.05)
 
 
+def test_design_block_schema(tmp_path):
+    # the design record holds what the relay runs on and the sliding layout
+    # it came from: no full-state gain and no fourth pole
+    args = ["--config", "five_story.json", "--tuning", "five_story_tuning.json"]
+    assert main(["tune", *args, "--out", str(tmp_path / "tune")]) == 0
+    assert main(["freq", *args, "--out", str(tmp_path / "freq")]) == 0
+    for block in (json.loads((tmp_path / "tune" / "result.json").read_text())["design"],
+                  json.loads((tmp_path / "freq" / "design.json").read_text())):
+        assert sorted(block) == sorted(["alpha1", "alpha2", "epsilon", "eta", "M0", "poles"])
+        assert sorted(block["poles"]) == ["lambda3", "omega_n", "zeta"]
+
+
 def test_freq_csv_is_the_band_table_of_the_winner(tmp_path, tune_quanser_jz2):
     # the winner's force peaks at the lower band edge, so the Hu column's
     # peak is the scan's exact chi bit for bit; the trapezoid RMS of each

@@ -32,7 +32,7 @@ def test_ackermann_random_placement_oracle():
     rng = np.random.default_rng(7)
     for _ in range(100):
         plant = make_random_plant(rng)
-        poles = make_random_poles(rng)
+        poles = {**make_random_poles(rng), "lambda4": -rng.uniform(5.0, 30.0)}
         k = ackermann_gain(plant, all_poles(**poles))
         achieved = np.sort_complex(np.linalg.eigvals(plant.A - np.outer(plant.B, k)))
         wanted = np.sort_complex(np.array(all_poles(**poles)))
@@ -59,32 +59,22 @@ def test_sliding_vector_experimental(five_story, quanser):
 
 
 def test_eta_identities_random():
-    # eta.B = 1 and eta.(A - B k) = lambda4 eta for arbitrary controllable pairs
+    # eta.B = 1 for arbitrary controllable pairs, and for any fourth pole
+    # lambda4 the gain k = eta (A - lambda4 I) places all four poles and keeps
+    # the sliding plane invariant: eta (A - B k) = lambda4 eta
     rng = np.random.default_rng(11)
     for _ in range(50):
         plant = make_random_plant(rng)
         poles = make_random_poles(rng)
-        design = st.design_sliding_controller(plant, **poles)
-        eta, k = design.eta, design.k_gain
-        k_placed = ackermann_gain(plant, all_poles(**poles))
+        lambda4 = -rng.uniform(5.0, 30.0)
+        eta = st.design_sliding_controller(plant, **poles).eta
+        k = eta @ (plant.A - lambda4 * np.eye(4))
+        k_placed = ackermann_gain(plant, all_poles(**poles, lambda4=lambda4))
         assert np.linalg.norm(k - k_placed) <= 1e-9 * np.linalg.norm(k_placed)
         assert abs(eta @ plant.B - 1.0) < 1e-9
-        closed = plant.A - np.outer(plant.B, k)
-        lhs = eta @ closed
-        assert np.linalg.norm(lhs - poles["lambda4"] * eta) <= 1e-9 * max(1.0, np.linalg.norm(
-            poles["lambda4"] * eta))
-
-
-def test_gain_factorization_identity():
-    # k = eta.(A - lambda4 I): the quartic polynomial factors through the cubic
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        plant = make_random_plant(rng)
-        poles = make_random_poles(rng)
-        design = st.design_sliding_controller(plant, **poles)
-        eta, k = design.eta, design.k_gain
-        k_factored = eta @ (plant.A - poles["lambda4"] * np.eye(4))
-        assert np.linalg.norm(k - k_factored) <= 1e-9 * max(1.0, np.linalg.norm(k))
+        lhs = eta @ (plant.A - np.outer(plant.B, k))
+        assert np.linalg.norm(lhs - lambda4 * eta) <= 1e-9 * max(1.0, np.linalg.norm(
+            lambda4 * eta))
 
 
 def test_sliding_dynamics_eigenvalues(five_story):
@@ -107,16 +97,17 @@ def test_sliding_dynamics_alpha1_beta0_one(quanser):
     assert design.B1[0] == 0.0 and design.B1[1] == 0.0
 
 
-def test_nu1_independent_of_lambda4(five_story):
+def test_a1_is_the_sliding_block_of_any_full_state_loop(five_story):
+    # A1 is the top-left block of T (A - B k) T^-1, T = [[I3, 0], [eta]], for
+    # the gain k = eta (A - lambda4 I) of any fourth pole lambda4
     _, modal, plant = five_story
-    wn = 0.6 * modal.omega0
-    designs = []
+    design = st.design_sliding_controller(plant, zeta=0.55, omega_n=0.6 * modal.omega0)
+    T = np.vstack([np.eye(4)[:3], design.eta])
     for lambda4 in (-1.0, -100.0):
-        designs.append(st.design_sliding_controller(plant, zeta=0.55, omega_n=wn,
-                                                    lambda4=lambda4))
-    a, b = designs
-    assert np.linalg.norm(a.nu1 - b.nu1) < 1e-10 * max(1.0, np.linalg.norm(a.nu1))
-    assert np.allclose(a.A1, b.A1, rtol=0, atol=1e-10 * np.abs(a.A1).max())
+        k = design.eta @ (plant.A - lambda4 * np.eye(4))
+        W = T @ (plant.A - np.outer(plant.B, k)) @ np.linalg.inv(T)
+        assert np.allclose(W[:3, :3], design.A1, rtol=0,
+                           atol=1e-10 * np.abs(design.A1).max())
 
 
 def test_switching_gain_sum():
@@ -185,7 +176,6 @@ def test_pole_spec_validation(quanser):
             st.design_sliding_controller(plant, zeta=0.5, omega_n=1.0, epsilon=epsilon)
     design = st.design_sliding_controller(plant, zeta=0.5, omega_n=2.0)
     assert design.lambda3 == pytest.approx(-3.0)
-    assert design.lambda4 == pytest.approx(-10.0)
     lambda1, lambda2 = st.smc.dominant_pair(design.zeta, design.omega_n)
     assert lambda1 == pytest.approx(np.conj(lambda2))
 
@@ -193,7 +183,6 @@ def test_pole_spec_validation(quanser):
 @pytest.mark.parametrize("field, value", [
     ("zeta", float("nan")), ("omega_n", float("nan")), ("omega_n", float("inf")),
     ("omega_n", "5"), ("lambda3", float("nan")), ("lambda3", float("-inf")),
-    ("lambda4", float("nan")), ("lambda4", float("-inf")), ("lambda4", True),
     ("epsilon", float("nan")), ("epsilon", float("inf")), ("epsilon", "0.05")])
 def test_pole_spec_rejects_non_finite_or_non_numeric(quanser, field, value):
     # a NaN or infinite pole used to pass and make design_sliding_controller
@@ -203,14 +192,25 @@ def test_pole_spec_rejects_non_finite_or_non_numeric(quanser, field, value):
         st.design_sliding_controller(plant, **{"zeta": 0.5, "omega_n": 5.0, field: value})
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("omega_n", [1e80, 1e160, 1e300])
+def test_overflowing_layout_raises_numerical_error_silently(quanser, omega_n):
+    # a finite layout whose design overflows raises the typed error and warns
+    # nothing; from 1e160 on eta holds NaN, which a "deviation > tol" test
+    # would let through the first check
+    _, _, plant = quanser
+    with pytest.raises(st.NumericalError, match="eta.B deviates"):
+        st.design_sliding_controller(plant, 0.5, omega_n)
+
+
 def test_default_pole_layout_is_the_scan_rule(quanser, tune_quanser_jz2):
-    # omitted lambdas follow real_poles, the rule every scan row is built by
+    # an omitted lambda3 follows real_pole, the rule every scan row is built by
     _, _, plant = quanser
     design = st.design_sliding_controller(plant, zeta=0.55, omega_n=3.7)
-    assert (design.lambda3, design.lambda4) == st.smc.real_poles(0.55, 3.7)
+    assert design.lambda3 == st.smc.real_pole(0.55, 3.7)
     winner = tune_quanser_jz2.result.design
     rebuilt = st.design_sliding_controller(plant, winner.zeta, winner.omega_n)
-    assert (rebuilt.lambda3, rebuilt.lambda4) == (winner.lambda3, winner.lambda4)
+    assert rebuilt.lambda3 == winner.lambda3
 
 
 def test_sliding_design_is_a_design_batch_row():
