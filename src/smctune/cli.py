@@ -28,7 +28,7 @@ from .lqr import MaxValues, bryson_weights, lqr_equivalent_polespec, solve_lqr
 from .sim import (LqrControl, PassiveControl, SmcControl, load_accelerogram,
                   simulate, summarize, write_trace_csv)
 from .structure import load_building_config, plant_from_setup
-from .tuning import export_mesh, load_tuning_config, tune
+from .tuning import INDEX_CHOICES, export_mesh, load_tuning_config, pick, tune
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -139,18 +139,18 @@ def cmd_lqr(args) -> int:
     return EXIT_OK
 
 
-def _tuned_design(plant, modal, config):
-    """The scan's winner with its switching gain, or InfeasibleTuningError (exit 3)."""
+def _tuned(plant, modal, config):
+    """The scan's result with its winner, or InfeasibleTuningError (exit 3)."""
     result = tune(plant, modal, config)
     if not result.feasible:
         raise InfeasibleTuningError(result.message)
-    return result.design
+    return result
 
 
 def cmd_freq(args) -> int:
     _, modal, plant = _load_setup(args)
     config = _tuning_config(args)
-    design = _tuned_design(plant, modal, config)
+    design = _tuned(plant, modal, config).design
     out = _out_dir(args)
     dump_frequency_response(design, plant.bounds.delta, out / "frequency_response.csv",
                             band=config.band, n_samples=config.n_samples)
@@ -159,53 +159,60 @@ def cmd_freq(args) -> int:
     return EXIT_OK
 
 
-def _quake_from_args(args):
-    mode = "pga" if args.pga is not None else "factor"
-    scale = args.pga if args.pga is not None else args.scale
-    return load_accelerogram(_resolve(args.quake), scale=scale, scale_mode=mode)
-
-
-def _window_from_args(args):
-    if args.window is None:
-        return None
-    try:
-        a, b = (float(x) for x in args.window.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"--window expects 'a,b', got {args.window!r}") from exc
-    return (a, b)
-
-
 def _lqr_controller(plant, maxima_arg):
     spec = bryson_weights(_load_maxima(_resolve(maxima_arg)))
     return LqrControl(solve_lqr(plant, spec).k_gain)
 
 
-def cmd_simulate(args) -> int:
-    setup, modal, plant = _load_setup(args)
-    quake = _quake_from_args(args)
-    t_end = args.t_end if args.t_end is not None else quake.duration
-    window = _window_from_args(args)
+def _run(args, controllers):
+    """Simulate and summarize each controller of ``controllers(plant, modal)``.
 
-    if args.controller == "passive":
-        controller = PassiveControl()
-    elif args.controller == "smc":
-        if args.tuning is None:
-            raise ConfigError("--tuning is required for the smc controller")
-        config = _tuning_config(args)
-        controller = SmcControl(_tuned_design(plant, modal, config), label=f"smc-{config.index}")
-    else:
+    Reads the building, the ``--quake`` record, ``--t-end`` and ``--window``
+    before it builds the controllers, so a bad record or window exits 2
+    before a scan can exit 3. Returns the record's keys of the output JSON
+    (quake, pga, t_end) and an iterator of (label, trace, summary) that runs
+    one controller per step, so a caller holds one trace at a time.
+    """
+    setup, modal, plant = _load_setup(args)
+    scale, mode = (args.scale, "factor") if args.pga is None else (args.pga, "pga")
+    quake = load_accelerogram(_resolve(args.quake), scale=scale, scale_mode=mode)
+    t_end = args.t_end if args.t_end is not None else quake.duration
+    window = None
+    if args.window is not None:
+        try:
+            a, b = (float(x) for x in args.window.split(","))
+        except ValueError as exc:
+            raise ConfigError(f"--window expects 'a,b', got {args.window!r}") from exc
+        window = (a, b)
+    laws = controllers(plant, modal)
+
+    def runs():
+        for law in laws:
+            trace = simulate(plant, law, quake, t_end, mu_d=setup.atmd.mu_d)
+            yield law.label, trace, summarize(trace, window)
+    return {"quake": quake.label, "pga": quake.pga, "t_end": t_end}, runs()
+
+
+def cmd_simulate(args) -> int:
+    def controllers(plant, modal):
+        if args.controller == "passive":
+            return [PassiveControl()]
+        if args.controller == "smc":
+            if args.tuning is None:
+                raise ConfigError("--tuning is required for the smc controller")
+            config = _tuning_config(args)
+            return [SmcControl(_tuned(plant, modal, config).design,
+                               label=f"smc-{config.index}")]
         if args.maxima is None:
             raise ConfigError("--maxima is required for the lqr controller")
-        controller = _lqr_controller(plant, args.maxima)
+        return [_lqr_controller(plant, args.maxima)]
 
-    trace = simulate(plant, controller, quake, t_end, mu_d=setup.atmd.mu_d)
-    summary = summarize(trace, window)
+    record, runs = _run(args, controllers)
+    label, trace, summary = next(runs)
     out = _out_dir(args)
     write_trace_csv(trace, out / "trace.csv")
-    _write_json({"controller": controller.label, "quake": quake.label,
-                 "pga": quake.pga, "t_end": t_end, **summary},
-                out / "summary.json")
-    print(f"{controller.label}: z2 rms = {1000 * summary['z2']['rms']:.3f} mm, "
+    _write_json({"controller": label, **record, **summary}, out / "summary.json")
+    print(f"{label}: z2 rms = {1000 * summary['z2']['rms']:.3f} mm, "
           f"peak = {1000 * summary['z2']['peak']:.3f} mm; "
           f"u rms = {summary['u']['rms']:.3f} N, peak = {summary['u']['peak']:.3f} N")
     print(f"wrote {out / 'trace.csv'} and {out / 'summary.json'}")
@@ -213,48 +220,28 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    setup, modal, plant = _load_setup(args)
-    quake = _quake_from_args(args)
-    t_end = args.t_end if args.t_end is not None else quake.duration
-    window = _window_from_args(args)
-    config = load_tuning_config(_resolve(args.tuning))
+    def controllers(plant, modal):
+        result = _tuned(plant, modal, _tuning_config(args))
+        laws = [PassiveControl(), *(SmcControl(pick(plant, result, index).design,
+                                               label=f"smc-{index}")
+                                    for index in INDEX_CHOICES)]
+        if args.maxima is not None:
+            laws.append(_lqr_controller(plant, args.maxima))
+        return laws
 
-    controllers = [PassiveControl(), *(
-        SmcControl(_tuned_design(plant, modal, replace(config, index=index)), label=f"smc-{index}")
-        for index in ("jz2", "ju"))]
-    if args.maxima is not None:
-        controllers.append(_lqr_controller(plant, args.maxima))
-
+    record, runs = _run(args, controllers)
+    rows = [(label, summary) for label, _, summary in runs]
     out = _out_dir(args)
-    rows = []
-    for controller in controllers:
-        trace = simulate(plant, controller, quake, t_end, mu_d=setup.atmd.mu_d)
-        summary = summarize(trace, window)
-        rows.append((controller.label, summary))
-
-    channels = ("z1", "z2", "z3", "z4", "u")
+    stats = [(ch, stat) for ch in ("z1", "z2", "z3", "z4", "u") for stat in ("rms", "peak")]
     with open(out / "comparison.csv", "w", newline="") as fh:
-        header = ["controller"]
-        for ch in channels:
-            header += [f"{ch}_rms", f"{ch}_peak"]
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(["controller", *(f"{ch}_{stat}" for ch, stat in stats)]) + "\n")
         for label, summary in rows:
-            cells = [label]
-            for ch in channels:
-                cells += [repr(summary[ch]["rms"]), repr(summary[ch]["peak"])]
-            fh.write(",".join(cells) + "\n")
-    baseline = rows[0][1]
-    ratios = {}
-    for label, summary in rows[1:]:
-        ratios[label] = {
-            "z2_peak_attenuation": baseline["z2"]["peak"] / summary["z2"]["peak"]
-            if summary["z2"]["peak"] > 0 else None,
-            "z2_rms_attenuation": baseline["z2"]["rms"] / summary["z2"]["rms"]
-            if summary["z2"]["rms"] > 0 else None,
-        }
-    _write_json({"quake": quake.label, "pga": quake.pga, "t_end": t_end,
-                 "results": {label: summary for label, summary in rows},
-                 "attenuation_vs_passive": ratios},
+            fh.write(",".join([label, *(repr(summary[ch][stat]) for ch, stat in stats)]) + "\n")
+    baseline = rows[0][1]["z2"]
+    ratios = {label: {f"z2_{stat}_attenuation": baseline[stat] / summary["z2"][stat]
+                      if summary["z2"][stat] > 0 else None for stat in ("peak", "rms")}
+              for label, summary in rows[1:]}
+    _write_json({**record, "results": dict(rows), "attenuation_vs_passive": ratios},
                 out / "comparison.json")
 
     print(f"{'controller':<10} {'z2 rms (mm)':>12} {'z2 peak (mm)':>13} "
@@ -287,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune = sub.add_parser("tune", help="grid-search tuning")
     add_common(p_tune)
     p_tune.add_argument("--tuning", required=True, help="tuning JSON")
-    p_tune.add_argument("--index", choices=("jz2", "ju"), default=None,
+    p_tune.add_argument("--index", choices=INDEX_CHOICES, default=None,
                         help="override the performance index")
     p_tune.set_defaults(func=cmd_tune)
 
@@ -299,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_freq = sub.add_parser("freq", help="frequency response of the tuned design")
     add_common(p_freq)
     p_freq.add_argument("--tuning", required=True)
-    p_freq.add_argument("--index", choices=("jz2", "ju"), default=None)
+    p_freq.add_argument("--index", choices=INDEX_CHOICES, default=None)
     p_freq.set_defaults(func=cmd_freq)
 
     def add_sim_args(p):
@@ -317,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_sim_args(p_sim)
     p_sim.add_argument("--controller", choices=("passive", "smc", "lqr"), required=True)
     p_sim.add_argument("--tuning", default=None)
-    p_sim.add_argument("--index", choices=("jz2", "ju"), default=None)
+    p_sim.add_argument("--index", choices=INDEX_CHOICES, default=None)
     p_sim.add_argument("--maxima", default=None)
     p_sim.set_defaults(func=cmd_simulate)
 

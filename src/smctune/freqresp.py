@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleDesignError
+from .errors import ConfigError, InfeasibleDesignError, write_table
 from .smc import DesignBatch, SlidingDesign, dominant_pair, rowdot, sliding_polynomial
 
 __all__ = [
@@ -61,8 +61,6 @@ class TransferBatch:
     roots: np.ndarray                    # (m, 3) complex: lambda1, lambda2, lambda3
     nums: tuple[np.ndarray, ...]         # (m, 2), (m, 2), (m, 3), (m, 4)
     gains: tuple[np.ndarray, ...]        # four (m,) arrays
-    psi1: np.ndarray                     # (m,)
-    psi2: np.ndarray                     # (m,)
 
 
 def transfer_batch(designs: DesignBatch) -> TransferBatch:
@@ -94,7 +92,7 @@ def transfer_batch(designs: DesignBatch) -> TransferBatch:
             np.stack([ones, -psi1, zeros], axis=-1),
             designs.alpha1[:, None] * den + num_u)
     gains = (a2, -a2 * eta[:, 2] / eta[:, 3], a2, ones)
-    return TransferBatch(den=den, roots=roots, nums=nums, gains=gains, psi1=psi1, psi2=psi2)
+    return TransferBatch(den=den, roots=roots, nums=nums, gains=gains)
 
 
 def frequency_grid(band=DEFAULT_BAND, n_samples: int = DEFAULT_SAMPLES) -> np.ndarray:
@@ -216,7 +214,4 @@ def dump_frequency_response(design: SlidingDesign, delta: float, path,
             "transfer-function zeros are undefined")
     omega = frequency_grid(band, n_samples)
     squares = _band_squares(transfer_batch(designs), delta, omega)
-    rows = np.column_stack([omega] + [np.sqrt(sq[0]) for sq in squares]).tolist()
-    with open(path, "w", newline="") as fh:
-        fh.write("omega_rad_s,H1,H2,H3,Hu\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+    write_table(path, "omega_rad_s,H1,H2,H3,Hu", [omega] + [np.sqrt(sq[0]) for sq in squares])

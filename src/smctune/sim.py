@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, finite_number, read_text
+from .errors import ConfigError, NumericalError, finite_number, read_text, write_table
 from .smc import SlidingDesign
 from .structure import PlantStateSpace
 
@@ -249,16 +249,6 @@ class SimulationTrace:
     xg: np.ndarray       # ground acceleration at the grid times, m/s^2
     label: str = ""
 
-    def channel(self, name: str) -> np.ndarray:
-        idx = {"z1": 0, "z2": 1, "z3": 2, "z4": 3}
-        if name in idx:
-            return self.z[:, idx[name]]
-        if name == "u":
-            return self.u
-        if name == "sigma":
-            return self.sigma
-        raise KeyError(name)
-
 
 def simulate(plant: PlantStateSpace, controller: FeedbackLaw, quake: Accelerogram,
              t_end: float, mu_d: float = 0.0, dt: float | None = None,
@@ -377,8 +367,8 @@ def summarize(trace: SimulationTrace, window: tuple[float, float] | None = None)
             raise ConfigError(f"window {window} contains no samples")
     out = {"window": [float(window[0]), float(window[1])],
            "n_samples": int(np.count_nonzero(mask))}
-    for name in ("z1", "z2", "z3", "z4", "u"):
-        x = trace.channel(name)[mask]
+    for name, channel in zip(("z1", "z2", "z3", "z4", "u"), (*trace.z.T, trace.u)):
+        x = channel[mask]
         out[name] = {"rms": float(np.sqrt(np.mean(x ** 2))),
                      "peak": float(np.max(np.abs(x)))}
     return out
@@ -418,20 +408,8 @@ def reaching_check(trace: SimulationTrace, design: SlidingDesign) -> ReachingRep
     )
 
 
-#: rows converted to Python floats at a time. As Python floats a row costs
-#: about 300 bytes more than in the trace: a whole 30 000-row trace at once
-#: would add about 12 MB to the peak memory of a run, 4096-row blocks 3 MB;
-#: 512-row blocks add none measurably and write as fast.
-CSV_BLOCK_ROWS = 512
-
-
 def write_trace_csv(trace: SimulationTrace, path) -> None:
     """One row per sample: t, z1..z4, u, sigma, xg_dd, each as the shortest
-    repr that reads back to the same float."""
-    with open(path, "w", newline="") as fh:
-        fh.write("t,z1,z2,z3,z4,u,sigma,xg_dd\n")
-        for start in range(0, len(trace.t), CSV_BLOCK_ROWS):
-            block = slice(start, start + CSV_BLOCK_ROWS)
-            rows = np.column_stack((trace.t[block], trace.z[block], trace.u[block],
-                                    trace.sigma[block], trace.xg[block])).tolist()
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+    repr that reads back to the same float (``errors.write_table``)."""
+    write_table(path, "t,z1,z2,z3,z4,u,sigma,xg_dd",
+                (trace.t, trace.z, trace.u, trace.sigma, trace.xg))

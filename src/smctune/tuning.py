@@ -5,20 +5,20 @@ batched pass. The sliding vectors of all grid points come from the plant's
 Ackermann rows; candidates whose transfer zeros sit too close to the dominant
 pair are masked out; the survivors get their full designs, design checks and
 band-limited RMS responses as stacked arrays; those exceeding the configured
-ceilings are dropped. The scan then picks the survivor minimizing either the
+ceilings are dropped. ``pick`` then takes the survivor minimizing either the
 top-floor displacement index (kappa2) or the control-effort index (kappa_u).
 The switching gain follows from the force peak of the winning design.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (ConfigError, InfeasibleTuningError, NumericalError, finite_number, keyed,
-                     read_json_object)
+                     read_json_object, write_table)
 from .freqresp import (DEFAULT_BAND, DEFAULT_SAMPLES, band_peak, band_table, transfer_batch,
                        zero_rows)
 from .smc import (DesignBatch, SlidingDesign, ackermann_rows, design_batch, dominant_pair,
@@ -31,6 +31,7 @@ __all__ = [
     "TuningResult",
     "load_tuning_config",
     "tune",
+    "pick",
     "feasible_region",
     "export_mesh",
 ]
@@ -284,17 +285,14 @@ class TuningResult:
 
 
 def tune(plant: PlantStateSpace, modal: ModalModel, config: TuningConfig) -> TuningResult:
-    """Run the full grid scan and pick the index-minimizing design.
+    """Run the full grid scan, then ``pick`` the winner of ``config.index``.
 
     One batched pass: the zero screen on the sliding vectors of every grid
     point, then ``design_batch`` (with its per-row design checks) and
     ``band_table`` on the survivors only. The checks are conjunctive, so the
     order does not change the feasible set. The rows inside the kappa
     ceilings become the result's ``designs``, ``omega_ratio`` and ``kappa``.
-    The winner minimizes kappa2 (``jz2``) or kappa_u (``ju``); ties on the
-    index value break toward smaller omega_n, then smaller zeta. The winning
-    design is its batch row, and only the winner gets its force peak chi
-    (``band_peak``), from which the switching gain M0 follows.
+    A scan with no such row returns an infeasible result with its message.
     """
     omega0 = modal.omega0
     zetas, ratios = config.zeta_values(), config.omega_ratios()
@@ -322,17 +320,34 @@ def tune(plant: PlantStateSpace, modal: ModalModel, config: TuningConfig) -> Tun
                               & (kappa[:, 2] <= bars.kappa3)
                               & (kappa[:, 3] + plant.bounds.varpi <= bars.kappa_u))
     designs, ratio, kappa = designs.take(feasible), ratio[feasible], kappa[feasible]
-    scan = dict(config=config, omega0=omega0, designs=designs, omega_ratio=ratio, kappa=kappa)
+    result = TuningResult(config=config, omega0=omega0, designs=designs, omega_ratio=ratio,
+                          kappa=kappa)
     if not len(feasible):
-        return TuningResult(**scan, message=INFEASIBLE_MESSAGE)
+        return replace(result, message=INFEASIBLE_MESSAGE)
+    return pick(plant, result, config.index)
 
-    index = kappa[:, 1] if config.index == "jz2" else kappa[:, 3]
-    best_index = int(np.lexsort((designs.zeta, ratio, index))[0])
+
+def pick(plant: PlantStateSpace, result: TuningResult, index: str) -> TuningResult:
+    """``result`` with the winner of ``index`` ("jz2" or "ju") over its rows.
+
+    The winner minimizes kappa2 (``jz2``) or kappa_u (``ju``); ties on the
+    index value break toward smaller omega_n, then smaller zeta. Only the
+    winner gets its force peak chi (``band_peak``), from which the switching
+    gain M0 follows. ``config.index`` becomes ``index`` and the rows stay, so
+    one scan serves both indices. InfeasibleTuningError on a scan with no rows.
+    """
+    if not result.feasible_count:
+        raise InfeasibleTuningError(result.message or INFEASIBLE_MESSAGE)
+    config = replace(result.config, index=index)
+    designs, ratio, kappa = result.designs, result.omega_ratio, result.kappa
+    value = kappa[:, 1] if index == "jz2" else kappa[:, 3]
+    best_index = int(np.lexsort((designs.zeta, ratio, value))[0])
     winner = transfer_batch(designs.take([best_index]))
     chi_best = float(band_peak(winner, plant.bounds.delta, config.band)[0])
     M0 = switching_gain(chi_best, plant.bounds.varpi, config.varsigma)
     design = designs.design(best_index, epsilon=config.epsilon).with_switching_gain(M0)
-    return TuningResult(**scan, best_index=best_index, design=design, chi=chi_best, M0=M0)
+    return replace(result, config=config, best_index=best_index, design=design, chi=chi_best,
+                   M0=M0)
 
 
 def feasible_region(result: TuningResult) -> dict[str, tuple[float, float]]:
@@ -352,9 +367,7 @@ def export_mesh(result: TuningResult, path) -> None:
     """
     if not result.feasible:
         raise InfeasibleTuningError(result.message or INFEASIBLE_MESSAGE)
-    header = ["zeta", "omega_n_over_omega0", *KAPPA_NAMES]
-    table = np.column_stack((result.designs.zeta, result.omega_ratio, result.kappa)).tolist()
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in table)
-        fh.write("# argmin," + ",".join(map(repr, table[result.best_index])) + "\n")
+    columns = (result.designs.zeta, result.omega_ratio, result.kappa)
+    best = np.hstack([column[result.best_index] for column in columns]).tolist()
+    write_table(path, ",".join(["zeta", "omega_n_over_omega0", *KAPPA_NAMES]), columns,
+                footer="# argmin," + ",".join(map(repr, best)) + "\n")

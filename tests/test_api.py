@@ -1,6 +1,7 @@
-"""The public names: every exported name resolves, so star imports work, and
+"""The public names: every exported name resolves, so star imports work;
 importing the package and running a scan load neither scipy nor
-numpy.polynomial."""
+numpy.polynomial; and every source parses at the declared Python floor."""
+import ast
 import importlib
 import subprocess
 import sys
@@ -50,3 +51,16 @@ def test_import_does_not_load_scipy(tmp_path):
                          check=True, timeout=60)
     assert out.stdout.strip().splitlines()[-1] == "[]"
     assert (tmp_path / "result.json").exists()
+
+
+def test_sources_parse_at_the_python_floor():
+    # pyproject.toml declares requires-python >= 3.10; a newer interpreter
+    # would accept syntax that breaks that floor, so parse as 3.10 does
+    with pytest.raises(SyntaxError):   # the check rejects 3.11 syntax
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted(path for top in ("src", "tests", "perfbench")
+                   for path in (root / top).rglob("*.py"))
+    assert len(paths) >= 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

@@ -235,6 +235,49 @@ def test_compare_command(tmp_path):
     assert smc_rms < passive_rms
 
 
+def test_compare_runs_one_scan(tmp_path, monkeypatch):
+    scans = []
+    tune = smctune.cli.tune
+    monkeypatch.setattr(smctune.cli, "tune", lambda *args: scans.append(args) or tune(*args))
+    rc = main(["compare", "--config", "quanser.json", "--quake", "synthetic_quake.csv",
+               "--tuning", "quanser_tuning.json", "--t-end", "1", "--out", str(tmp_path)])
+    assert rc == 0 and len(scans) == 1
+
+
+def test_compare_results_are_simulate_summaries(tmp_path):
+    # compare and simulate run one path: each compare entry is the summary
+    # simulate writes for that controller, without the record's keys
+    sim = ["--config", "quanser.json", "--quake", "synthetic_quake.csv", "--pga", "3.0",
+           "--t-end", "8", "--window", "2,6"]
+    rc = main(["compare", *sim, "--tuning", "quanser_tuning.json",
+               "--maxima", "quanser_lqr_maxima.json", "--out", str(tmp_path / "compare")])
+    assert rc == 0
+    results = json.loads((tmp_path / "compare" / "comparison.json").read_text())["results"]
+    smc = ["--controller", "smc", "--tuning", "quanser_tuning.json", "--index"]
+    runs = {"passive": ["--controller", "passive"], "smc-jz2": [*smc, "jz2"],
+            "smc-ju": [*smc, "ju"],
+            "lqr": ["--controller", "lqr", "--maxima", "quanser_lqr_maxima.json"]}
+    assert sorted(results) == sorted(runs)
+    for label, argv in runs.items():
+        out = tmp_path / label
+        assert main(["simulate", *sim, *argv, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary.pop("controller") == label
+        for key in ("quake", "pga", "t_end"):
+            del summary[key]
+        assert summary == results[label], label
+
+
+def test_failed_compare_leaves_no_output_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["compare", "--config", "quanser.json", "--quake", "synthetic_quake.csv",
+               "--tuning", "quanser_tuning.json", "--t-end", "2", "--window", "5,nan",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: window upper bound must be finite, got nan\n"
+    assert not out.exists()
+
+
 def test_tune_nan_kappa_ceiling_exits_2(tmp_path, capsys):
     from smctune.fixtures import fixture_path
     raw = json.loads(fixture_path("quanser_tuning.json").read_text())

@@ -340,7 +340,7 @@ def test_load_accelerogram_rejects_non_finite_scale():
 
 def test_trace_csv_matches_per_cell_writer(tmp_path):
     rng = np.random.default_rng(11)
-    n = 2 * st.sim.CSV_BLOCK_ROWS + 3  # crosses two block boundaries
+    n = 2 * st.errors.CSV_BLOCK_ROWS + 3  # crosses two block boundaries
     columns = rng.normal(scale=10.0, size=(n, 8)) * 10.0 ** rng.integers(-300, 300, size=(n, 8))
     special = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 3.0, -7.0, 1e16, 0.1, 2.5e-8]
     columns[:len(special), :] = np.array(special)[:, None]

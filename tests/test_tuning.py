@@ -91,6 +91,20 @@ def test_unsatisfiable_ceiling_is_infeasible(five_story, five_story_tuning):
         st.feasible_region(result)
 
 
+@pytest.mark.parametrize("building, tuned", [("five_story", "tune_five"),
+                                             ("quanser", "tune_quanser")])
+def test_pick_other_index_equals_its_tune(tmp_path, request, building, tuned):
+    # the feasible rows do not depend on the index, so picking the other
+    # index of a scan writes the result.json of tuning for it, byte for byte
+    _, _, plant = request.getfixturevalue(building)
+    results = {index: request.getfixturevalue(f"{tuned}_{index}").result
+               for index in ("jz2", "ju")}
+    for index, other in (("jz2", "ju"), ("ju", "jz2")):
+        st.tuning.pick(plant, results[other], index).to_json(tmp_path / "picked.json")
+        results[index].to_json(tmp_path / "tuned.json")
+        assert (tmp_path / "picked.json").read_bytes() == (tmp_path / "tuned.json").read_bytes()
+
+
 def test_degenerate_interval_single_point(five_story, five_story_tuning):
     _, modal, plant = five_story
     config = st.load_tuning_config({**five_story_tuning.to_dict(),
@@ -373,3 +387,11 @@ def test_empty_zero_screen_is_infeasible(quanser, quanser_tuning):
     config = st.load_tuning_config({**quanser_tuning.to_dict(), "gamma1": 1e9})
     result = st.tune(plant, modal, config)
     assert not result.feasible and result.message
+
+
+def test_pick_on_an_empty_scan_is_infeasible(quanser, quanser_tuning):
+    _, modal, plant = quanser
+    config = st.load_tuning_config({**quanser_tuning.to_dict(), "gamma1": 1e9})
+    result = st.tune(plant, modal, config)
+    with pytest.raises(InfeasibleTuningError, match="no feasible sliding design"):
+        st.tuning.pick(plant, result, "ju")
