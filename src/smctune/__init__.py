@@ -3,8 +3,7 @@ with an active tuned mass damper: modal reduction, pole-placement sliding
 design, frequency-band tuning, an LQR baseline, and a nonlinear earthquake
 simulator."""
 
-from .errors import (ConfigError, InfeasibleDesignError, InfeasibleTuningError,
-                     NumericalError)
+from .errors import ConfigError, InfeasibleTuningError, NumericalError
 from .freqresp import (DEFAULT_BAND, DEFAULT_SAMPLES, dump_frequency_response,
                        frequency_grid)
 from .lqr import (LqrResult, LqrSpec, MaxValues, bryson_weights,

@@ -8,7 +8,8 @@ Subcommands
     simulate  -> closed-loop run: trace.csv and summary.json
     compare   -> passive / SMC (both indexes) / LQR side by side
 
-Exit codes: 0 success, 2 invalid input, 3 infeasible tuning, 4 numerical failure.
+Exit codes: 0 success, 2 invalid input or an output that cannot be written,
+3 infeasible tuning, 4 numerical failure.
 """
 from __future__ import annotations
 
@@ -94,8 +95,7 @@ def cmd_tune(args) -> int:
     out = _out_dir(args)
     result.to_json(out / "result.json")
     if not result.feasible:
-        print(f"infeasible: {result.message}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        raise InfeasibleTuningError(result.message)
     export_mesh(result, out / "mesh.csv")
     best, design = result.best, result.design
     print(f"feasible points: {result.feasible_count}")
@@ -174,8 +174,9 @@ def _run(args, controllers):
     one controller per step, so a caller holds one trace at a time.
     """
     setup, modal, plant = _load_setup(args)
-    scale, mode = (args.scale, "factor") if args.pga is None else (args.pga, "pga")
-    quake = load_accelerogram(_resolve(args.quake), scale=scale, scale_mode=mode)
+    path = _resolve(args.quake)
+    quake = (load_accelerogram(path) if args.pga is None
+             else load_accelerogram(path, scale=args.pga, scale_mode="pga"))
     t_end = args.t_end if args.t_end is not None else quake.duration
     window = None
     if args.window is not None:
@@ -291,11 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_sim_args(p):
         p.add_argument("--quake", required=True, help="ground-motion CSV")
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--pga", type=float, default=None,
-                           help="rescale the record to this peak acceleration (m/s^2)")
-        group.add_argument("--scale", type=float, default=1.0,
-                           help="multiply the record by this factor")
+        p.add_argument("--pga", type=float, default=None,
+                       help="rescale the record to this peak acceleration (m/s^2)")
         p.add_argument("--t-end", type=float, default=None, dest="t_end")
         p.add_argument("--window", default=None, help="summary window 'a,b' in seconds")
 
@@ -331,6 +329,10 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:  # every reader raises ConfigError, so this is a write
+        print(f"error: cannot write {exc.filename or args.out}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -1,5 +1,9 @@
-"""Exception types shared across the toolkit, and the shared file I/O: the
-input checks and readers, and ``write_table``, the writer of every float CSV."""
+"""The three failure types of the toolkit, and the shared file I/O: the input
+checks and readers, and ``write_table``, the writer of every float CSV.
+
+Each failure type has one exit code of the command line: ConfigError 2,
+InfeasibleTuningError 3, NumericalError 4.
+"""
 from __future__ import annotations
 
 import json
@@ -9,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["ConfigError", "NumericalError", "InfeasibleDesignError", "InfeasibleTuningError",
-           "finite_number", "read_text", "read_json_object", "keyed", "write_table"]
+__all__ = ["ConfigError", "NumericalError", "InfeasibleTuningError", "finite_number",
+           "read_text", "read_json_object", "keyed", "write_table"]
 
 #: rows converted to Python floats at a time. As Python floats a row costs
 #: about 300 bytes more than in the trace: a whole 30 000-row trace at once
@@ -25,10 +29,6 @@ class ConfigError(ValueError):
 
 class NumericalError(RuntimeError):
     """A numerical procedure failed (uncontrollable plant, solver divergence, ...)."""
-
-
-class InfeasibleDesignError(RuntimeError):
-    """A candidate sliding design is degenerate (zero components make its zeros undefined)."""
 
 
 class InfeasibleTuningError(RuntimeError):
@@ -67,11 +67,20 @@ def read_text(path) -> str:
 
 def read_json_object(path) -> dict:
     """The JSON object in the file at ``path``; ConfigError for an unreadable
-    file, malformed or too deeply nested JSON, or a top level that is not an
-    object."""
+    file, malformed or too deeply nested JSON, a key repeated within one
+    object at any level, or a top level that is not an object."""
     text = read_text(path)
+
+    def unique(pairs):
+        value = {}
+        for key, item in pairs:
+            if key in value:    # json.loads would keep the last and drop the first
+                raise ConfigError(f"{path}: key {key!r} repeated in one object")
+            value[key] = item
+        return value
+
     try:
-        value = json.loads(text)
+        value = json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
                           f"{exc.msg}") from exc

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleDesignError, write_table
+from .errors import ConfigError, NumericalError, write_table
 from .smc import DesignBatch, SlidingDesign, dominant_pair, rowdot, sliding_polynomial
 
 __all__ = [
@@ -205,11 +205,11 @@ def dump_frequency_response(design: SlidingDesign, delta: float, path,
     The columns are the square roots of ``_band_squares`` on
     ``frequency_grid(band, n_samples)``; the Hu column peaks at ``band_peak``'s
     chi if chi sits at a band edge, below it otherwise. A design whose
-    transfer zeros are undefined is infeasible.
+    transfer zeros are undefined raises NumericalError.
     """
     designs = DesignBatch.of(design)
     if not zero_rows(designs.eta)[2][0]:
-        raise InfeasibleDesignError(
+        raise NumericalError(
             "sliding vector has a vanishing third or fourth component; "
             "transfer-function zeros are undefined")
     omega = frequency_grid(band, n_samples)

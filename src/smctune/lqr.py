@@ -5,8 +5,10 @@ acceptable magnitude of each state and of the control force, and the gain
 comes from the stabilizing solution of the continuous algebraic Riccati
 equation. That solution starts from the stable invariant subspace of the
 Hamiltonian matrix (Laub 1979) and is polished by Newton-Kleinman iterations
-(Kleinman 1968) until the residual is at solver noise level. numpy is the
-only dependency.
+(Kleinman 1968) until the residual is at solver noise level. ``solve_riccati``
+returns the solution with its residual as an ``LqrResult``; ``solve_lqr``
+accepts it when the residual is small in absolute terms or relative to the
+Riccati terms. numpy is the only dependency.
 """
 from __future__ import annotations
 
@@ -28,6 +30,8 @@ __all__ = [
 ]
 
 RESIDUAL_MAX = 1e-8
+#: residual bound relative to the largest entry of the Riccati terms (``solve_lqr``)
+RESIDUAL_RELATIVE = 5e-13
 #: Newton-Kleinman steps after the Hamiltonian solve, at most
 NEWTON_STEPS = 30
 
@@ -112,13 +116,13 @@ def _hamiltonian_solution(A, b, Q, r):
     return P
 
 
-def solve_riccati(A, B, Q, r):
+def solve_riccati(A, B, Q, r) -> LqrResult:
     """Stabilizing CARE solution for a single-input pair.
 
     The stable invariant subspace of the Hamiltonian matrix provides the
     starting point; up to NEWTON_STEPS Newton-Kleinman iterations (one
-    Lyapunov solve each) then drive the residual to rounding level. Returns
-    (P, k_gain, closed_loop_eigs, residual).
+    Lyapunov solve each) then drive the residual to rounding level. The
+    residual is reported, not gated (``solve_lqr`` gates it).
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(B, dtype=float).reshape(-1)
@@ -160,15 +164,25 @@ def solve_riccati(A, B, Q, r):
         np.linalg.cholesky(P + 1e-14 * np.eye(len(P)))
     except np.linalg.LinAlgError as exc:
         raise NumericalError("Riccati solution is not positive definite") from exc
-    return P, k, np.sort_complex(eigs), residual
+    return LqrResult(P=P, k_gain=k, closed_loop_eigs=np.sort_complex(eigs), residual=residual)
 
 
 def solve_lqr(plant: PlantStateSpace, spec: LqrSpec) -> LqrResult:
-    """LQR gain for the 4-state plant under the given weights."""
-    P, k, eigs, residual = solve_riccati(plant.A, plant.B, spec.Q, spec.r)
-    if not residual <= RESIDUAL_MAX:    # a NaN residual fails too
-        raise NumericalError(f"Riccati residual {residual:.3e} exceeds {RESIDUAL_MAX:.0e}")
-    return LqrResult(P=P, k_gain=k, closed_loop_eigs=eigs, residual=residual)
+    """LQR gain for the 4-state plant under the given weights.
+
+    The Riccati residual must be finite and at most RESIDUAL_MAX or
+    RESIDUAL_RELATIVE times the largest entry of Q, A^T P and P b b^T P / r:
+    scaling Q and r together scales P and the residual, but not the gain.
+    """
+    result = solve_riccati(plant.A, plant.B, spec.Q, spec.r)
+    P, b = result.P, plant.B
+    with np.errstate(over="ignore", invalid="ignore"):  # then the residual is not finite
+        terms = max(np.abs(spec.Q).max(), np.abs(plant.A.T @ P).max(),
+                    np.abs(np.outer(P @ b, b @ P)).max() / spec.r)
+    bound = max(RESIDUAL_MAX, RESIDUAL_RELATIVE * terms)
+    if not (np.isfinite(result.residual) and result.residual <= bound):
+        raise NumericalError(f"Riccati residual {result.residual:.3e} exceeds {bound:.3g}")
+    return result
 
 
 def lqr_equivalent_polespec(result: LqrResult, omega0: float) -> dict[str, float]:

@@ -4,7 +4,9 @@ Integrates dz/dt = A z + B (u - f(z3)) + D xg_dd with fixed-step RK4. The
 control force is held constant over each sample interval (zero-order hold, as
 a digital controller would), the Coulomb friction f(z3) = mu_d sign(z3) is
 evaluated inside every stage, and the ground acceleration is interpolated
-linearly at the half-step times.
+linearly at the half-step times. A record read from CSV is resampled to
+RESAMPLE_DT and labelled with its file's stem; ``simulate(dt=...)`` sets the
+step of a run.
 """
 from __future__ import annotations
 
@@ -40,6 +42,8 @@ __all__ = [
 #: at 1 ms. The arrays are sized from the record's time span and ``dt``, so a
 #: two-line file or a tiny ``dt`` could otherwise ask for gigabytes.
 MAX_RECORD_SAMPLES = 2_000_000
+#: sample interval of every record ``load_accelerogram`` reads, s
+RESAMPLE_DT = 1e-3
 
 
 @dataclass(frozen=True)
@@ -114,28 +118,25 @@ def _parse_quake_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
                       f"got rows of width {sorted(widths)}")
 
 
-def load_accelerogram(path, scale: float = 1.0, resample_dt: float = 1e-3,
-                      scale_mode: str = "factor", label: str | None = None) -> Accelerogram:
-    """Read a ground-motion CSV, resample it linearly, and scale it.
+def load_accelerogram(path, scale: float = 1.0, scale_mode: str = "factor") -> Accelerogram:
+    """Read a ground-motion CSV, resample it linearly to RESAMPLE_DT, and scale it.
 
     scale_mode "factor" multiplies the record by ``scale``; "pga" rescales so
-    the peak absolute acceleration equals ``scale`` (m/s^2).
+    the peak absolute acceleration equals ``scale`` (m/s^2). The record's
+    label is the file's stem.
     """
     scale = finite_number("scale", scale)
-    resample_dt = finite_number("resample_dt", resample_dt)
     if scale <= 0:
         raise ConfigError(f"scale must be positive, got {scale}")
-    if resample_dt <= 0:
-        raise ConfigError(f"resample_dt must be positive, got {resample_dt}")
     path = Path(path)
     t, acc = _parse_quake_csv(path)
 
-    steps = np.floor((t[-1] - t[0]) / resample_dt + 1e-9)
+    steps = np.floor((t[-1] - t[0]) / RESAMPLE_DT + 1e-9)
     if not steps < MAX_RECORD_SAMPLES:  # also inf
-        raise ConfigError(f"{path}: resampling {t[-1] - t[0]:g} s at {resample_dt:g} s "
+        raise ConfigError(f"{path}: resampling {t[-1] - t[0]:g} s at {RESAMPLE_DT:g} s "
                           f"needs more than {MAX_RECORD_SAMPLES} samples")
     n_new = int(steps) + 1
-    t_new = t[0] + resample_dt * np.arange(n_new)
+    t_new = t[0] + RESAMPLE_DT * np.arange(n_new)
     resampled = np.interp(t_new, t, acc)
 
     if scale_mode == "factor":
@@ -147,16 +148,14 @@ def load_accelerogram(path, scale: float = 1.0, resample_dt: float = 1e-3,
         resampled = resampled * (scale / peak)
     else:
         raise ConfigError(f"scale_mode must be 'factor' or 'pga', got {scale_mode!r}")
-    return Accelerogram(dt=resample_dt, samples=resampled,
-                        label=label if label is not None else path.stem)
+    return Accelerogram(dt=RESAMPLE_DT, samples=resampled, label=path.stem)
 
 
-def synthetic_accelerogram(duration: float = 40.0, dt: float = 0.02, seed: int = 20260810,
-                           band_hz: tuple[float, float] = (0.3, 12.0),
-                           label: str = "synthetic") -> Accelerogram:
-    """Deterministic earthquake-like test record with unit peak acceleration.
+def synthetic_accelerogram(duration: float = 40.0, dt: float = 0.02,
+                           seed: int = 20260810) -> Accelerogram:
+    """Deterministic earthquake-like test record "synthetic" with unit peak acceleration.
 
-    Band-limited Gaussian noise (flat between the band edges, raised-cosine
+    Band-limited Gaussian noise (flat over 0.3-12 Hz, raised-cosine
     roll-off) shaped by a rise/strong/decay envelope. Useful when no recorded
     ground motion is at hand; any real record in CSV form can be used instead.
     duration and dt must be positive and give at most MAX_RECORD_SAMPLES samples.
@@ -173,7 +172,7 @@ def synthetic_accelerogram(duration: float = 40.0, dt: float = 0.02, seed: int =
     t = np.arange(n) * dt
     spectrum = np.fft.rfft(rng.standard_normal(n))
     freq = np.fft.rfftfreq(n, dt)
-    lo, hi = band_hz
+    lo, hi = 0.3, 12.0
     gain = np.where((freq >= lo) & (freq <= hi), 1.0, 0.0)
     ramp = (freq > lo / 3.0) & (freq < lo)
     gain[ramp] = 0.5 - 0.5 * np.cos(np.pi * (freq[ramp] - lo / 3.0) / (lo - lo / 3.0))
@@ -187,7 +186,7 @@ def synthetic_accelerogram(duration: float = 40.0, dt: float = 0.02, seed: int =
     envelope[t > quiet_after] = 0.0
     shaped = motion * envelope
     shaped /= np.max(np.abs(shaped))
-    return Accelerogram(dt=dt, samples=shaped, label=label)
+    return Accelerogram(dt=dt, samples=shaped, label="synthetic")
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,10 @@ POLE_PLACEMENT_TOL = 1e-6
 ETA_B_TOL = 1e-9
 #: lambda3 = -LAMBDA3_FACTOR * zeta * omega_n unless given
 LAMBDA3_FACTOR = 3.0
+#: the relay's boundary layer epsilon unless given
+BOUNDARY_LAYER = 0.05
+#: the margin varsigma of the switching gain unless given
+SWITCHING_MARGIN = 0.5
 
 #: why a row of a DesignBatch was rejected, indexed by DesignBatch.reject
 #: (0 means accepted); the checks run in this order
@@ -69,11 +73,8 @@ class SlidingDesign:
     A1: np.ndarray
     B1: np.ndarray
     nu1: np.ndarray
-    epsilon: float = 0.05
+    epsilon: float
     M0: float | None = None
-
-    def with_switching_gain(self, M0: float) -> "SlidingDesign":
-        return replace(self, M0=float(M0))
 
     def to_dict(self) -> dict:
         return {
@@ -119,14 +120,15 @@ class DesignBatch:
         """The stack of the selected rows (index array or boolean mask)."""
         return replace(self, **{f.name: getattr(self, f.name)[rows] for f in fields(self)})
 
-    def design(self, i: int, epsilon: float = 0.05) -> SlidingDesign:
-        """Row i as a SlidingDesign; NumericalError if the row was rejected."""
+    def design(self, i: int, epsilon: float, M0: float | None = None) -> SlidingDesign:
+        """Row i as a SlidingDesign with the relay (epsilon, M0); NumericalError
+        if the row was rejected."""
         code = int(self.reject[i])
         if code:
             raise NumericalError(REJECT_MESSAGES[code])
         row = {f.name: getattr(self, f.name)[i] for f in fields(self) if f.name != "reject"}
         return SlidingDesign(**{name: float(v) if v.ndim == 0 else v.copy()
-                                for name, v in row.items()}, epsilon=epsilon)
+                                for name, v in row.items()}, epsilon=epsilon, M0=M0)
 
 
 def real_pole(zeta, omega_n):
@@ -270,7 +272,7 @@ def design_batch(plant: PlantStateSpace, zeta, omega_n, lambda3,
                        alpha1=alpha1, alpha2=alpha2, A1=A1, B1=B1, nu1=nu1, reject=reject)
 
 
-def switching_gain(chi: float, varpi: float, varsigma: float = 0.5) -> float:
+def switching_gain(chi: float, varpi: float, varsigma: float = SWITCHING_MARGIN) -> float:
     """Relay amplitude M0 = varpi + chi + varsigma.
 
     chi bounds the equivalent control over the excitation band, varpi the
@@ -288,7 +290,7 @@ def switching_gain(chi: float, varpi: float, varsigma: float = 0.5) -> float:
 
 def design_sliding_controller(plant: PlantStateSpace, zeta: float, omega_n: float,
                               lambda3: float | None = None,
-                              epsilon: float = 0.05) -> SlidingDesign:
+                              epsilon: float = BOUNDARY_LAYER) -> SlidingDesign:
     """Synthesize the complete sliding design for one pole layout.
 
     The dominant pair has damping 0 < zeta < 1 and natural frequency

@@ -39,8 +39,8 @@ CTRB_RCOND_MIN = 1e-12
 MAX_STORIES = 1000
 
 
-def _readonly(a, dtype=float) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
+def _readonly(a) -> np.ndarray:
+    out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
 
@@ -144,11 +144,6 @@ class PlantStateSpace:
     D: np.ndarray
     bounds: ExcitationBounds
 
-    @property
-    def participation(self) -> float:
-        """Participation factor encoded in the excitation vector."""
-        return -float(self.D[3])
-
 
 @dataclass(frozen=True)
 class BuildingSetup:
@@ -231,7 +226,7 @@ def natural_modes(M, K):
     return np.sqrt(eigvals), Y / d[:, None]
 
 
-def rayleigh_damping(M, K, mode_pairs=((1, 0.01), (2, 0.01))) -> np.ndarray:
+def rayleigh_damping(M, K, mode_pairs) -> np.ndarray:
     """Proportional damping matrix matching the requested modal ratios.
 
     Solves zeta_i = (a0/w_i + a1*w_i)/2 at the two specified modal

@@ -21,8 +21,8 @@ from .errors import (ConfigError, InfeasibleTuningError, NumericalError, finite_
                      read_json_object, write_table)
 from .freqresp import (DEFAULT_BAND, DEFAULT_SAMPLES, band_peak, band_table, transfer_batch,
                        zero_rows)
-from .smc import (DesignBatch, SlidingDesign, ackermann_rows, design_batch, dominant_pair,
-                  real_pole, sliding_vectors, switching_gain)
+from .smc import (BOUNDARY_LAYER, SWITCHING_MARGIN, DesignBatch, SlidingDesign, ackermann_rows,
+                  design_batch, dominant_pair, real_pole, sliding_vectors, switching_gain)
 from .structure import ModalModel, PlantStateSpace
 
 __all__ = [
@@ -98,8 +98,8 @@ class TuningConfig:
     index: str = "jz2"
     band: tuple[float, float] = DEFAULT_BAND
     n_samples: int = DEFAULT_SAMPLES
-    varsigma: float = 0.5
-    epsilon: float = 0.05
+    varsigma: float = SWITCHING_MARGIN
+    epsilon: float = BOUNDARY_LAYER
 
     def __post_init__(self):
         if not isinstance(self.kappa_bars, KappaBounds):
@@ -345,9 +345,8 @@ def pick(plant: PlantStateSpace, result: TuningResult, index: str) -> TuningResu
     winner = transfer_batch(designs.take([best_index]))
     chi_best = float(band_peak(winner, plant.bounds.delta, config.band)[0])
     M0 = switching_gain(chi_best, plant.bounds.varpi, config.varsigma)
-    design = designs.design(best_index, epsilon=config.epsilon).with_switching_gain(M0)
-    return replace(result, config=config, best_index=best_index, design=design, chi=chi_best,
-                   M0=M0)
+    return replace(result, config=config, best_index=best_index,
+                   design=designs.design(best_index, config.epsilon, M0), chi=chi_best, M0=M0)
 
 
 def feasible_region(result: TuningResult) -> dict[str, tuple[float, float]]:

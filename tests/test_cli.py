@@ -115,6 +115,20 @@ def test_lqr_command(tmp_path):
     assert payload["equivalent"]["zeta"] == pytest.approx(0.46, rel=0.02)
 
 
+@pytest.mark.parametrize("factor", [0.03, 0.01])
+def test_lqr_scaled_maxima_give_the_same_gain(tmp_path, factor):
+    # Q and r scale together: the residual grows with them, the gain stays
+    maxima = json.loads(fixture_path("quanser_lqr_maxima.json").read_text())
+    scaled = tmp_path / "maxima.json"
+    scaled.write_text(json.dumps({key: factor * value for key, value in maxima.items()}))
+    gains = []
+    for path, out in ((scaled, tmp_path / "scaled"), ("quanser_lqr_maxima.json", tmp_path)):
+        assert main(["lqr", "--config", "quanser.json", "--maxima", str(path),
+                     "--out", str(out)]) == 0
+        gains.append(json.loads((out / "lqr.json").read_text())["k_gain"])
+    np.testing.assert_allclose(gains[0], gains[1], rtol=1e-12, atol=0)
+
+
 def test_freq_command(tmp_path):
     rc = main(["freq", "--config", "quanser.json", "--tuning", "quanser_tuning.json",
                "--out", str(tmp_path)])
@@ -210,6 +224,20 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys, argv):
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: cannot use {out} as the output")
     assert out.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["tune", "--tuning", "quanser_tuning.json"], "result.json"),
+    (["simulate", "--quake", "synthetic_quake.csv", "--controller", "passive", "--t-end", "1"],
+     "trace.csv"),
+], ids=lambda value: value if isinstance(value, str) else value[0])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv, target):
+    (tmp_path / target).mkdir()
+    rc = main([*argv, "--config", "quanser.json", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {tmp_path / target}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_simulate_smc_requires_tuning(tmp_path):
@@ -321,12 +349,12 @@ def test_simulate_non_finite_t_end_exits_2(tmp_path, capsys, t_end):
 
 
 @pytest.mark.parametrize("record, scaling, message", [
-    ("t,accel\n0.0,0.0\nnan,1.0\n0.04,-1.0\n", ["--scale", "1.0"], "time must be finite"),
-    ("t,accel\n0.0,0.0\ninf,1.0\n", ["--scale", "1.0"], "time must be finite"),
+    ("t,accel\n0.0,0.0\nnan,1.0\n0.04,-1.0\n", [], "time must be finite"),
+    ("t,accel\n0.0,0.0\ninf,1.0\n", [], "time must be finite"),
     ("dt,-0.02\n0.0\n1.0\n-1.0\n", ["--pga", "3.0"], "dt header must be positive"),
-    ("dt,-0.02\n0.0\n1.0\n-1.0\n", ["--scale", "1.0"], "dt header must be positive"),
-    ("dt,0\n0.0\n1.0\n-1.0\n", ["--scale", "1.0"], "dt header must be positive"),
-    ("dt,nan\n0.0\n1.0\n-1.0\n", ["--scale", "1.0"], "dt header must be finite"),
+    ("dt,-0.02\n0.0\n1.0\n-1.0\n", [], "dt header must be positive"),
+    ("dt,0\n0.0\n1.0\n-1.0\n", [], "dt header must be positive"),
+    ("dt,nan\n0.0\n1.0\n-1.0\n", [], "dt header must be finite"),
 ], ids=["nan-time", "inf-time", "negative-dt-pga", "negative-dt-scale", "zero-dt", "nan-dt"])
 def test_simulate_bad_record_times_exit_2(tmp_path, capsys, record, scaling, message):
     quake = tmp_path / "quake.csv"
@@ -452,6 +480,28 @@ def test_unknown_key_at_any_level_exits_2(tmp_path, capsys, case, key):
     assert rc == 2
     err = capsys.readouterr().err
     assert f"unknown key '{key}' in {edited}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, marker, repeat", [
+    ("quanser_tuning.json", '"zeta_l"', '"zeta_l": 0.6, '),
+    ("quanser_tuning.json", '"kappa1"', '"kappa2": 1e-9, '),
+    ("five_story.json", '"delta"', '"varpi": 0.0, '),
+    ("quanser_lqr_maxima.json", '"z1_max"', '"u_max": 1.0, '),
+], ids=["tuning-top", "tuning-kappa_bars", "building-bounds", "maxima-top"])
+def test_repeated_key_exits_2(tmp_path, capsys, name, marker, repeat):
+    # json.loads alone keeps the last value and drops the first without a word
+    text = fixture_path(name).read_text()
+    assert text.count(marker) == 1
+    edited = tmp_path / name
+    edited.write_text(text.replace(marker, repeat + marker))
+    argv = {"quanser_tuning.json": ["tune", "--config", "quanser.json", "--tuning"],
+            "five_story.json": ["model", "--config"],
+            "quanser_lqr_maxima.json": ["lqr", "--config", "quanser.json", "--maxima"]}[name]
+    out = tmp_path / "out"
+    assert main([*argv, str(edited), "--out", str(out)]) == 2
+    key = repeat.split(":")[0].strip('"')
+    assert f"{edited}: key {key!r} repeated in one object" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -68,12 +68,11 @@ def test_lqr_solution_is_spd(quanser_lqr):
 
 def test_scalar_riccati_closed_form():
     # a=0, b=1, q=1, r=1: P solves -P^2 + 1 = 0, so P = 1, k = 1, eig = -1
-    P, k, eigs, residual = st.solve_riccati(np.array([[0.0]]), np.array([1.0]),
-                                            np.array([[1.0]]), 1.0)
-    assert P[0, 0] == pytest.approx(1.0, rel=1e-12)
-    assert k[0] == pytest.approx(1.0, rel=1e-12)
-    assert eigs[0] == pytest.approx(-1.0, rel=1e-12)
-    assert residual < 1e-12
+    result = st.solve_riccati(np.array([[0.0]]), np.array([1.0]), np.array([[1.0]]), 1.0)
+    assert result.P[0, 0] == pytest.approx(1.0, rel=1e-12)
+    assert result.k_gain[0] == pytest.approx(1.0, rel=1e-12)
+    assert result.closed_loop_eigs[0] == pytest.approx(-1.0, rel=1e-12)
+    assert result.residual < 1e-12
 
 
 def test_random_riccati_instances():
@@ -86,10 +85,10 @@ def test_random_riccati_instances():
         A = plant.A - (np.max(np.linalg.eigvals(plant.A).real) + 0.5) * np.eye(4)
         q_diag = rng.uniform(0.1, 10.0, size=4)
         r = rng.uniform(0.05, 5.0)
-        P, k, eigs, residual = st.solve_riccati(A, plant.B, np.diag(q_diag), r)
-        assert residual < 1e-8
-        assert np.all(eigs.real < 0)
-        assert_gain_matches_scipy(A, plant.B, np.diag(q_diag), r, k)
+        result = st.solve_riccati(A, plant.B, np.diag(q_diag), r)
+        assert result.residual < 1e-8
+        assert np.all(result.closed_loop_eigs.real < 0)
+        assert_gain_matches_scipy(A, plant.B, np.diag(q_diag), r, result.k_gain)
 
 
 @pytest.mark.parametrize("building", ["quanser", "five_story"])

@@ -1,5 +1,5 @@
 """Pole placement, sliding vector identities, sliding dynamics, control law."""
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -221,7 +221,7 @@ def test_sliding_design_is_a_design_batch_row():
 
 def test_design_batch_of_rebuilds_the_tuned_winner(tune_five_jz2):
     d = tune_five_jz2.result.design
-    rebuilt = st.smc.DesignBatch.of(d).design(0, d.epsilon).with_switching_gain(d.M0)
+    rebuilt = st.smc.DesignBatch.of(d).design(0, d.epsilon, d.M0)
     for f in fields(st.SlidingDesign):
         want, got = getattr(d, f.name), getattr(rebuilt, f.name)
         if isinstance(want, np.ndarray):
@@ -232,8 +232,8 @@ def test_design_batch_of_rebuilds_the_tuned_winner(tune_five_jz2):
 
 def test_design_serialization_roundtrip(five_story):
     _, modal, plant = five_story
-    design = st.design_sliding_controller(
-        plant, zeta=0.5, omega_n=0.5 * modal.omega0).with_switching_gain(24.0)
+    design = replace(st.design_sliding_controller(plant, zeta=0.5, omega_n=0.5 * modal.omega0),
+                     M0=24.0)
     d = design.to_dict()
     assert d["M0"] == 24.0
     assert d["poles"]["zeta"] == 0.5

@@ -189,7 +189,7 @@ def test_participation_override(five_story):
     setup, modal, plant = five_story
     # the fixture pins the excitation participation to 1; the modal value stays intact
     assert setup.participation == 1.0
-    assert plant.participation == 1.0
+    assert -plant.D[3] == 1.0
     assert modal.beta0 == pytest.approx(1.2517, rel=1e-3)
     natural = st.assemble_plant(modal, setup.atmd, setup.bounds)
     assert natural.D[2] == pytest.approx(modal.beta0 - 1.0, rel=1e-12)
