@@ -8,12 +8,15 @@ Subcommands
     simulate  -> closed-loop run: trace.csv and summary.json
     compare   -> passive / SMC (both indexes) / LQR side by side
 
-Exit codes: 0 success, 2 invalid input or an output that cannot be written,
+Each ``cmd_*`` prints its report and returns its (file name, payload) outputs;
+``main`` writes them in one step. Exit codes: 0 success, 2 invalid input or
+an output that cannot be written (no file of that run stays in ``--out``),
 3 infeasible tuning, 4 numerical failure.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -53,14 +56,27 @@ def _write_json(payload: dict, path: Path) -> None:
                     + "\n")
 
 
-def _out_dir(args) -> Path:
-    """The ``--out`` directory, made if missing; ConfigError if it cannot be."""
-    out = Path(args.out)
+def _write_outputs(out: Path, outputs) -> None:
+    """Make ``out``, write each (file name, payload) of ``outputs`` into it in
+    order (a dict as JSON, else a writer called with the path) and print one
+    ``wrote`` line. An OSError removes every regular file this run started, so
+    ``out`` never mixes two runs; a directory in the way is left alone."""
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot use {out} as the output directory: {exc}") from exc
-    return out
+    paths = []
+    try:
+        for name, payload in outputs:
+            paths.append(out / name)
+            write = payload if callable(payload) else functools.partial(_write_json, payload)
+            write(paths[-1])
+    except OSError:
+        for path in filter(Path.is_file, paths):
+            with contextlib.suppress(OSError):  # report the write, not the clean-up
+                path.unlink()
+        raise
+    print("wrote " + " and ".join(map(str, paths)))
 
 
 def _load_setup(args):
@@ -69,16 +85,12 @@ def _load_setup(args):
     return setup, modal, plant
 
 
-def cmd_model(args) -> int:
+def cmd_model(args) -> list:
     setup, modal, plant = _load_setup(args)
-    out = _out_dir(args)
-    _write_json(asdict(modal), out / "modal.json")
-    _write_json(asdict(plant), out / "plant.json")
     print(f"stories: {setup.building.n_stories}")
     print(f"m0 = {modal.m0:.4f} kg   k0 = {modal.k0:.4f} N/m   c0 = {modal.c0:.4f} N*s/m")
     print(f"omega0 = {modal.omega0:.4f} rad/s   beta0 = {modal.beta0:.4f}")
-    print(f"wrote {out / 'modal.json'} and {out / 'plant.json'}")
-    return EXIT_OK
+    return [("modal.json", asdict(modal)), ("plant.json", asdict(plant))]
 
 
 def _tuning_config(args):
@@ -88,25 +100,20 @@ def _tuning_config(args):
     return config
 
 
-def cmd_tune(args) -> int:
+def cmd_tune(args) -> list:
     _, modal, plant = _load_setup(args)
     config = _tuning_config(args)
     result = tune(plant, modal, config)
-    out = _out_dir(args)
-    result.to_json(out / "result.json")
-    if not result.feasible:
-        raise InfeasibleTuningError(result.message)
-    export_mesh(result, out / "mesh.csv")
-    best, design = result.best, result.design
-    print(f"feasible points: {result.feasible_count}")
-    print(f"best ({config.index}): zeta = {design.zeta:.2f}, "
-          f"omega_n = {best['omega_ratio']:.2f} * omega0 = {design.omega_n:.4f} rad/s")
-    print(f"eta = {np.array2string(design.eta, precision=4)}")
-    print(f"kappa = [{100 * best['kappa1']:.2f} cm, {1000 * best['kappa2']:.3f} mm, "
-          f"{100 * best['kappa3']:.2f} cm/s, {best['kappa_u']:.3f} N]")
-    print(f"chi = {result.chi:.4f} N   M0 = {result.M0:.4f} N")
-    print(f"wrote {out / 'result.json'} and {out / 'mesh.csv'}")
-    return EXIT_OK
+    if result.feasible:  # else result.json is written and export_mesh raises (exit 3)
+        best, design = result.best, result.design
+        print(f"feasible points: {result.feasible_count}")
+        print(f"best ({config.index}): zeta = {design.zeta:.2f}, "
+              f"omega_n = {best['omega_ratio']:.2f} * omega0 = {design.omega_n:.4f} rad/s")
+        print(f"eta = {np.array2string(design.eta, precision=4)}")
+        print(f"kappa = [{100 * best['kappa1']:.2f} cm, {1000 * best['kappa2']:.3f} mm, "
+              f"{100 * best['kappa3']:.2f} cm/s, {best['kappa_u']:.3f} N]")
+        print(f"chi = {result.chi:.4f} N   M0 = {result.M0:.4f} N")
+    return [("result.json", result.to_json), ("mesh.csv", functools.partial(export_mesh, result))]
 
 
 def _load_maxima(path: Path) -> MaxValues:
@@ -116,12 +123,11 @@ def _load_maxima(path: Path) -> MaxValues:
                      z4=raw["z4_max"], u=raw["u_max"])
 
 
-def cmd_lqr(args) -> int:
+def cmd_lqr(args) -> list:
     _, modal, plant = _load_setup(args)
     spec = bryson_weights(_load_maxima(_resolve(args.maxima)))
     result = solve_lqr(plant, spec)
     equivalent = lqr_equivalent_polespec(result, modal.omega0)
-    out = _out_dir(args)
     payload = {
         "Q": np.diag(spec.Q),
         "r": spec.r,
@@ -130,13 +136,11 @@ def cmd_lqr(args) -> int:
         "riccati_residual": result.residual,
         "equivalent": equivalent,
     }
-    _write_json(payload, out / "lqr.json")
     print(f"k = {np.array2string(result.k_gain, precision=4)}")
     print(f"closed-loop eigenvalues: {np.array2string(result.closed_loop_eigs, precision=4)}")
     print(f"dominant pair: zeta = {equivalent['zeta']:.3f}, "
           f"omega_n = {equivalent['omega_ratio']:.3f} * omega0")
-    print(f"wrote {out / 'lqr.json'}")
-    return EXIT_OK
+    return [("lqr.json", payload)]
 
 
 def _tuned(plant, modal, config):
@@ -147,16 +151,14 @@ def _tuned(plant, modal, config):
     return result
 
 
-def cmd_freq(args) -> int:
+def cmd_freq(args) -> list:
     _, modal, plant = _load_setup(args)
     config = _tuning_config(args)
     design = _tuned(plant, modal, config).design
-    out = _out_dir(args)
-    dump_frequency_response(design, plant.bounds.delta, out / "frequency_response.csv",
-                            band=config.band, n_samples=config.n_samples)
-    _write_json(design.to_dict(), out / "design.json")
-    print(f"wrote {out / 'frequency_response.csv'} and {out / 'design.json'}")
-    return EXIT_OK
+    return [("frequency_response.csv",
+             functools.partial(dump_frequency_response, design, plant.bounds.delta,
+                               band=config.band, n_samples=config.n_samples)),
+            ("design.json", design.to_dict())]
 
 
 def _lqr_controller(plant, maxima_arg):
@@ -194,7 +196,7 @@ def _run(args, controllers):
     return {"quake": quake.label, "pga": quake.pga, "t_end": t_end}, runs()
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> list:
     def controllers(plant, modal):
         if args.controller == "passive":
             return [PassiveControl()]
@@ -210,17 +212,14 @@ def cmd_simulate(args) -> int:
 
     record, runs = _run(args, controllers)
     label, trace, summary = next(runs)
-    out = _out_dir(args)
-    write_trace_csv(trace, out / "trace.csv")
-    _write_json({"controller": label, **record, **summary}, out / "summary.json")
     print(f"{label}: z2 rms = {1000 * summary['z2']['rms']:.3f} mm, "
           f"peak = {1000 * summary['z2']['peak']:.3f} mm; "
           f"u rms = {summary['u']['rms']:.3f} N, peak = {summary['u']['peak']:.3f} N")
-    print(f"wrote {out / 'trace.csv'} and {out / 'summary.json'}")
-    return EXIT_OK
+    return [("trace.csv", functools.partial(write_trace_csv, trace)),
+            ("summary.json", {"controller": label, **record, **summary})]
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> list:
     def controllers(plant, modal):
         result = _tuned(plant, modal, _tuning_config(args))
         laws = [PassiveControl(), *(SmcControl(pick(plant, result, index).design,
@@ -232,27 +231,27 @@ def cmd_compare(args) -> int:
 
     record, runs = _run(args, controllers)
     rows = [(label, summary) for label, _, summary in runs]
-    out = _out_dir(args)
     stats = [(ch, stat) for ch in ("z1", "z2", "z3", "z4", "u") for stat in ("rms", "peak")]
-    with open(out / "comparison.csv", "w", newline="") as fh:
-        fh.write(",".join(["controller", *(f"{ch}_{stat}" for ch, stat in stats)]) + "\n")
-        for label, summary in rows:
-            fh.write(",".join([label, *(repr(summary[ch][stat]) for ch, stat in stats)]) + "\n")
+
+    def comparison_csv(path):
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(["controller", *(f"{ch}_{stat}" for ch, stat in stats)]) + "\n")
+            for label, summary in rows:
+                fh.write(",".join([label, *(repr(summary[ch][stat]) for ch, stat in stats)])
+                         + "\n")
     baseline = rows[0][1]["z2"]
     ratios = {label: {f"z2_{stat}_attenuation": baseline[stat] / summary["z2"][stat]
                       if summary["z2"][stat] > 0 else None for stat in ("peak", "rms")}
               for label, summary in rows[1:]}
-    _write_json({**record, "results": dict(rows), "attenuation_vs_passive": ratios},
-                out / "comparison.json")
-
     print(f"{'controller':<10} {'z2 rms (mm)':>12} {'z2 peak (mm)':>13} "
           f"{'u rms (N)':>10} {'u peak (N)':>11}")
     for label, summary in rows:
         print(f"{label:<10} {1000 * summary['z2']['rms']:>12.3f} "
               f"{1000 * summary['z2']['peak']:>13.3f} "
               f"{summary['u']['rms']:>10.3f} {summary['u']['peak']:>11.3f}")
-    print(f"wrote {out / 'comparison.csv'} and {out / 'comparison.json'}")
-    return EXIT_OK
+    return [("comparison.csv", comparison_csv),
+            ("comparison.json", {**record, "results": dict(rows),
+                                 "attenuation_vs_passive": ratios})]
 
 
 @functools.cache  # built once per process
@@ -319,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _write_outputs(Path(args.out), args.func(args))
+        return EXIT_OK
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -73,9 +73,18 @@ class Accelerogram:
         return np.arange(len(self.samples)) * self.dt
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _parse_quake_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     """Accept either two-column (t, accel) rows or a 'dt,<value>' header
-    followed by one acceleration per line. Returns (t, accel)."""
+    followed by one acceleration per line. Returns (t, accel). Line 1 may
+    instead hold column names, none of which reads as a number."""
     rows = []
     dt_header = None
     for lineno, raw in enumerate(csv.reader(io.StringIO(read_text(path), newline="")), start=1):
@@ -95,7 +104,7 @@ def _parse_quake_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
         try:
             values = [float(c) for c in cells]
         except ValueError as exc:
-            if lineno == 1:  # a column-name header line is fine
+            if lineno == 1 and not any(map(_is_number, cells)):
                 continue
             raise ConfigError(f"{path}:{lineno}: non-numeric row {cells!r}") from exc
         rows.append((lineno, values))

@@ -75,17 +75,18 @@ class RayleighSpec:
 
 @dataclass(frozen=True)
 class BuildingModel:
-    """N-story shear building: diagonal mass, tridiagonal stiffness/damping."""
+    """N-story shear building: diagonal mass, tridiagonal stiffness/damping,
+    and the undamped modes of (M, K) from its one ``natural_modes`` solve."""
 
-    floor_masses: np.ndarray          # kg, one per story
-    interstory_stiffnesses: np.ndarray  # N/m, one per story
     M: np.ndarray
     C: np.ndarray
     K: np.ndarray
+    frequencies: np.ndarray   # rad/s, ascending
+    mode_shapes: np.ndarray   # one column per frequency
 
     @property
     def n_stories(self) -> int:
-        return len(self.floor_masses)
+        return len(self.M)
 
 
 @dataclass(frozen=True)
@@ -157,12 +158,14 @@ class BuildingSetup:
 
 
 def build_shear_building(masses, stiffnesses, damping) -> BuildingModel:
-    """Assemble M, C, K for an N-story shear building.
+    """Assemble M, C, K for an N-story shear building, and solve its modes once.
 
     ``damping`` is either a RayleighSpec or an explicit N x N symmetric
     tridiagonal matrix in N*s/m, and N is at most MAX_STORIES. Stiffness
     assembly follows the usual interstory convention: K[i,i] = k_i + k_{i+1}
-    with k_{N+1} = 0 and off-diagonals -k_{i+1}.
+    with k_{N+1} = 0 and off-diagonals -k_{i+1}. The frequencies and mode
+    shapes of ``natural_modes(M, K)`` serve both the Rayleigh solve and
+    ``modal_reduce``.
     """
     m = np.asarray(masses, dtype=float)
     k = np.asarray(stiffnesses, dtype=float)
@@ -180,7 +183,8 @@ def build_shear_building(masses, stiffnesses, damping) -> BuildingModel:
     K = np.diag(k + np.append(k[1:], 0.0)) - np.diag(k[1:], 1) - np.diag(k[1:], -1)
 
     if isinstance(damping, RayleighSpec):
-        C = rayleigh_damping(M, K, damping.pairs)
+        freqs, shapes = natural_modes(M, K)
+        C = rayleigh_damping(M, K, freqs, damping.pairs)
     else:
         C = np.asarray(damping, dtype=float)
         if C.shape != (n, n):
@@ -193,13 +197,14 @@ def build_shear_building(masses, stiffnesses, damping) -> BuildingModel:
         off_band = C - np.tril(np.triu(C, -1), 1)
         if np.abs(off_band).max() > 1e-9 * scale:
             raise ConfigError("damping matrix must be tridiagonal")
+        freqs, shapes = natural_modes(M, K)
 
     return BuildingModel(
-        floor_masses=_readonly(m),
-        interstory_stiffnesses=_readonly(k),
         M=_readonly(M),
         C=_readonly(C),
         K=_readonly(K),
+        frequencies=_readonly(freqs),
+        mode_shapes=_readonly(shapes),
     )
 
 
@@ -226,18 +231,19 @@ def natural_modes(M, K):
     return np.sqrt(eigvals), Y / d[:, None]
 
 
-def rayleigh_damping(M, K, mode_pairs) -> np.ndarray:
+def rayleigh_damping(M, K, frequencies, mode_pairs) -> np.ndarray:
     """Proportional damping matrix matching the requested modal ratios.
 
-    Solves zeta_i = (a0/w_i + a1*w_i)/2 at the two specified modal
-    frequencies. With a single pair only the mass-proportional term is used:
-    C = 2*zeta*w*M. The pairs follow the rules of RayleighSpec, and each mode
-    must exist.
+    ``frequencies`` are the natural frequencies of (M, K) in rad/s, ascending,
+    as ``natural_modes(M, K)[0]`` returns them. Solves
+    zeta_i = (a0/w_i + a1*w_i)/2 at the two specified modal frequencies. With
+    a single pair only the mass-proportional term is used: C = 2*zeta*w*M.
+    The pairs follow the rules of RayleighSpec, and each mode must exist.
     """
     pairs = RayleighSpec(tuple(mode_pairs)).pairs
     M = np.asarray(M, dtype=float)
     K = np.asarray(K, dtype=float)
-    freqs, _ = natural_modes(M, K)
+    freqs = np.asarray(frequencies, dtype=float)
     n = len(freqs)
     for mode, _ in pairs:
         if mode > n:
@@ -260,12 +266,11 @@ def rayleigh_damping(M, K, mode_pairs) -> np.ndarray:
 def modal_reduce(building: BuildingModel) -> ModalModel:
     """Reduce the building to its dominant first mode.
 
-    The mode shape is scaled so its top-floor entry equals 1; the modal mass,
-    damping, stiffness, and participation factor follow from quadratic forms
-    in M, C, K.
+    The building's first mode shape is scaled so its top-floor entry equals 1;
+    the modal mass, damping, stiffness, and participation factor follow from
+    quadratic forms in M, C, K.
     """
-    freqs, shapes = natural_modes(building.M, building.K)
-    raw = shapes[:, 0]
+    raw = building.mode_shapes[:, 0]
     top = raw[-1]
     if abs(top) <= 1e-12 * np.linalg.norm(raw):
         raise NumericalError("first mode has (numerically) zero top-floor component; cannot scale")

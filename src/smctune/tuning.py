@@ -184,12 +184,12 @@ class TuningResult:
     Row i of ``designs`` (a DesignBatch), ``omega_ratio`` (omega_n / omega0)
     and ``kappa`` (columns kappa1, kappa2, kappa3, kappa_u) is the i-th
     feasible grid point in scan order (zeta-major). ``best_index`` points
-    into these rows; an empty scan leaves them empty and ``best_index`` None,
-    with an explanatory message. The winning design carries the switching
-    gain M0 derived from the force peak chi. ``columns()`` gives the named
-    columns of the rows, ``rows()`` the dicts ``result.json`` stores, and
-    ``best`` the winner's; ``result.json`` is the ``json.dumps`` of
-    ``to_dict()`` byte for byte.
+    into these rows; an empty scan leaves them empty and ``best_index`` None.
+    ``message`` is "" for a feasible result and INFEASIBLE_MESSAGE for any
+    other. The winning design carries the switching gain M0 derived from the
+    force peak chi. ``columns()`` gives the named columns of the rows,
+    ``rows()`` the dicts ``result.json`` stores, and ``best`` the winner's;
+    ``result.json`` is the ``json.dumps`` of ``to_dict()`` byte for byte.
     """
 
     config: TuningConfig
@@ -201,11 +201,14 @@ class TuningResult:
     design: SlidingDesign | None = None
     chi: float | None = None
     M0: float | None = None
-    message: str = ""
 
     @property
     def feasible(self) -> bool:
         return self.best_index is not None
+
+    @property
+    def message(self) -> str:
+        return "" if self.feasible else INFEASIBLE_MESSAGE
 
     @property
     def feasible_count(self) -> int:
@@ -292,7 +295,7 @@ def tune(plant: PlantStateSpace, modal: ModalModel, config: TuningConfig) -> Tun
     ``band_table`` on the survivors only. The checks are conjunctive, so the
     order does not change the feasible set. The rows inside the kappa
     ceilings become the result's ``designs``, ``omega_ratio`` and ``kappa``.
-    A scan with no such row returns an infeasible result with its message.
+    A scan with no such row returns an infeasible result.
     """
     omega0 = modal.omega0
     zetas, ratios = config.zeta_values(), config.omega_ratios()
@@ -322,9 +325,7 @@ def tune(plant: PlantStateSpace, modal: ModalModel, config: TuningConfig) -> Tun
     designs, ratio, kappa = designs.take(feasible), ratio[feasible], kappa[feasible]
     result = TuningResult(config=config, omega0=omega0, designs=designs, omega_ratio=ratio,
                           kappa=kappa)
-    if not len(feasible):
-        return replace(result, message=INFEASIBLE_MESSAGE)
-    return pick(plant, result, config.index)
+    return pick(plant, result, config.index) if len(feasible) else result
 
 
 def pick(plant: PlantStateSpace, result: TuningResult, index: str) -> TuningResult:
@@ -337,7 +338,7 @@ def pick(plant: PlantStateSpace, result: TuningResult, index: str) -> TuningResu
     one scan serves both indices. InfeasibleTuningError on a scan with no rows.
     """
     if not result.feasible_count:
-        raise InfeasibleTuningError(result.message or INFEASIBLE_MESSAGE)
+        raise InfeasibleTuningError(result.message)
     config = replace(result.config, index=index)
     designs, ratio, kappa = result.designs, result.omega_ratio, result.kappa
     value = kappa[:, 1] if index == "jz2" else kappa[:, 3]
@@ -352,7 +353,7 @@ def pick(plant: PlantStateSpace, result: TuningResult, index: str) -> TuningResu
 def feasible_region(result: TuningResult) -> dict[str, tuple[float, float]]:
     """Min/max of zeta and omega_n/omega0 over the feasible rows."""
     if not result.feasible:
-        raise InfeasibleTuningError(result.message or INFEASIBLE_MESSAGE)
+        raise InfeasibleTuningError(result.message)
     return {name: (float(values.min()), float(values.max()))
             for name, values in (("zeta", result.designs.zeta),
                                  ("omega_ratio", result.omega_ratio))}
@@ -365,7 +366,7 @@ def export_mesh(result: TuningResult, path) -> None:
     line repeats the winning point so plotting scripts can highlight it.
     """
     if not result.feasible:
-        raise InfeasibleTuningError(result.message or INFEASIBLE_MESSAGE)
+        raise InfeasibleTuningError(result.message)
     columns = (result.designs.zeta, result.omega_ratio, result.kappa)
     best = np.hstack([column[result.best_index] for column in columns]).tolist()
     write_table(path, ",".join(["zeta", "omega_n_over_omega0", *KAPPA_NAMES]), columns,

@@ -1,5 +1,6 @@
 """Command-line behaviour: files, exit codes, reproducibility."""
 import copy
+import errno
 import json
 import math
 import os
@@ -238,6 +239,56 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv, target):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {tmp_path / target}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# each command on the Quanser fixtures: its arguments and the files it writes
+QUANSER_OUTPUTS = {
+    "model": ([], ["modal.json", "plant.json"]),
+    "tune": (["--tuning", "quanser_tuning.json"], ["result.json", "mesh.csv"]),
+    "lqr": (["--maxima", "quanser_lqr_maxima.json"], ["lqr.json"]),
+    "freq": (["--tuning", "quanser_tuning.json"], ["frequency_response.csv", "design.json"]),
+    "simulate": (["--quake", "synthetic_quake.csv", "--controller", "passive", "--t-end", "1"],
+                 ["trace.csv", "summary.json"]),
+    "compare": (["--quake", "synthetic_quake.csv", "--tuning", "quanser_tuning.json",
+                 "--t-end", "1"], ["comparison.csv", "comparison.json"]),
+}
+
+
+@pytest.mark.parametrize("command", list(QUANSER_OUTPUTS))
+def test_command_writes_its_files_and_names_them_last(tmp_path, capsys, command):
+    argv, files = QUANSER_OUTPUTS[command]
+    out = tmp_path / "out"
+    assert main([command, *argv, "--config", "quanser.json", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "wrote " + " and ".join(str(out / name) for name in files)
+    assert sorted(path.name for path in out.iterdir()) == sorted(files)
+
+
+@pytest.mark.parametrize("command, in_the_way", [
+    ("tune", "mesh.csv"), ("simulate", "summary.json"), ("simulate", None),
+], ids=["tune-mesh-dir", "simulate-summary-dir", "simulate-trace-no-space"])
+def test_failed_write_leaves_no_file_of_the_run(tmp_path, capsys, monkeypatch, command,
+                                                in_the_way):
+    # a directory in the way stops the second file; None stubs a trace writer
+    # that runs out of space part-way through the first
+    if in_the_way is None:
+        def write_trace_csv(trace, path):
+            with open(path, "w") as fh:
+                fh.write("t,z1,z2\n0.0,")
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+        monkeypatch.setattr(smctune.cli, "write_trace_csv", write_trace_csv)
+        failed = tmp_path / "trace.csv"
+    else:
+        failed = tmp_path / in_the_way
+        failed.mkdir()
+    rc = main([command, *QUANSER_OUTPUTS[command][0], "--config", "quanser.json",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {failed}: ") and err.count("\n") == 1
+    assert [path.name for path in tmp_path.iterdir()] == ([] if in_the_way is None
+                                                          else [in_the_way])
+    assert in_the_way is None or failed.is_dir()
 
 
 def test_simulate_smc_requires_tuning(tmp_path):

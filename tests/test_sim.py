@@ -40,6 +40,15 @@ def test_load_rejects_malformed(tmp_path):
         st.load_accelerogram(_write(tmp_path / "d.csv", "0.0,1.0\n0.1,2.0,3.0\n"))
 
 
+def test_malformed_first_row_is_not_taken_for_a_header(tmp_path):
+    # line 1 holds column names only when none of its cells reads as a number
+    rows = "0.0,0.1x\n0.02,0.2\n0.04,-0.1\n0.06,0.0\n"
+    with pytest.raises(ConfigError, match=r"a\.csv:1: non-numeric row"):
+        st.load_accelerogram(_write(tmp_path / "a.csv", rows))
+    rec = st.load_accelerogram(_write(tmp_path / "b.csv", "t,accel\n" + rows.replace("x", "")))
+    assert len(rec.samples) == 61 and rec.samples[0] == 0.1
+
+
 def test_zero_record_scaling(tmp_path):
     p = _write(tmp_path / "z.csv", "0.0,0.0\n1.0,0.0\n")
     rec = st.load_accelerogram(p, scale=123.0, scale_mode="factor")

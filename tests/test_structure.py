@@ -51,7 +51,7 @@ def test_rayleigh_equal_ratio_closed_form():
     freqs, _ = st.natural_modes(M, K)
     w1, w2 = freqs
     z = 0.03
-    C = st.rayleigh_damping(M, K, ((1, z), (2, z)))
+    C = st.rayleigh_damping(M, K, freqs, ((1, z), (2, z)))
     a0 = 2.0 * z * w1 * w2 / (w1 + w2)
     a1 = 2.0 * z / (w1 + w2)
     assert np.allclose(C, a0 * M + a1 * K, rtol=1e-12)
@@ -62,20 +62,20 @@ def test_rayleigh_coincident_modes_error():
     M = np.eye(2)
     K = np.eye(2)
     with pytest.raises(NumericalError):
-        st.rayleigh_damping(M, K, ((1, 0.01), (2, 0.01)))
+        st.rayleigh_damping(M, K, st.natural_modes(M, K)[0], ((1, 0.01), (2, 0.01)))
 
 
 def test_rayleigh_mode_index_out_of_range():
     M = np.eye(2)
     K = np.array([[2.0, -1.0], [-1.0, 1.0]])
     with pytest.raises(ConfigError):
-        st.rayleigh_damping(M, K, ((1, 0.01), (5, 0.01)))
+        st.rayleigh_damping(M, K, st.natural_modes(M, K)[0], ((1, 0.01), (5, 0.01)))
 
 
 def test_rayleigh_single_pair_mass_proportional():
     M = np.diag([1.84])
     K = np.diag([226.23])
-    C = st.rayleigh_damping(M, K, ((1, 0.02),))
+    C = st.rayleigh_damping(M, K, st.natural_modes(M, K)[0], ((1, 0.02),))
     w1 = np.sqrt(226.23 / 1.84)
     assert np.allclose(C, [[2 * 0.02 * w1 * 1.84]])
 
@@ -128,9 +128,10 @@ def test_modal_reduce_two_story_dense_oracle():
 def test_modal_scale_consistency(five_story_setup):
     base = st.modal_reduce(five_story_setup.building)
     factor = 3.7
+    floors = json.loads(fixture_path("five_story.json").read_text())["floors"]
     scaled_building = st.build_shear_building(
-        factor * five_story_setup.building.floor_masses,
-        factor * five_story_setup.building.interstory_stiffnesses,
+        factor * np.diag(five_story_setup.building.M),
+        [factor * floor["stiffness"] for floor in floors],
         factor * five_story_setup.building.C)
     scaled = st.modal_reduce(scaled_building)
     assert scaled.omega0 == pytest.approx(base.omega0, rel=1e-12)
@@ -268,7 +269,7 @@ def test_rayleigh_damping_checks_pairs_as_rayleigh_spec(pairs):
     with pytest.raises(ConfigError):
         st.RayleighSpec(pairs)
     with pytest.raises(ConfigError):
-        st.rayleigh_damping(M, K, pairs)
+        st.rayleigh_damping(M, K, st.natural_modes(M, K)[0], pairs)
 
 
 @pytest.mark.parametrize("delta, varpi", [(float("nan"), 0.5), (float("inf"), 0.5),
