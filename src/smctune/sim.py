@@ -4,7 +4,10 @@ Integrates dz/dt = A z + B (u - f(z3)) + D xg_dd with fixed-step RK4. The
 control force is held constant over each sample interval (zero-order hold, as
 a digital controller would), the Coulomb friction f(z3) = mu_d sign(z3) is
 evaluated inside every stage, and the ground acceleration is interpolated
-linearly at the half-step times. A record read from CSV is resampled to
+linearly at the half-step times. With each stage's force held, one step is an
+affine map of the state, the four stage forces and the three excitation
+samples; ``rk4_map`` gives its coefficients, and ``simulate`` builds them once
+per run and applies them at every step. A record read from CSV is resampled to
 RESAMPLE_DT and labelled with its file's stem; ``simulate(dt=...)`` sets the
 step of a run.
 """
@@ -35,6 +38,7 @@ __all__ = [
     "summarize",
     "reaching_check",
     "ReachingReport",
+    "rk4_map",
     "write_trace_csv",
 ]
 
@@ -44,6 +48,10 @@ __all__ = [
 MAX_RECORD_SAMPLES = 2_000_000
 #: sample interval of every record ``load_accelerogram`` reads, s
 RESAMPLE_DT = 1e-3
+#: steps whose excitation terms ``simulate`` computes at a time
+STEP_BLOCK = 512
+#: halvings of (0, dt) that locate the largest stable step of a boundary layer
+BISECTIONS = 40
 
 
 @dataclass(frozen=True)
@@ -83,14 +91,17 @@ def _is_number(cell: str) -> bool:
 
 def _parse_quake_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     """Accept either two-column (t, accel) rows or a 'dt,<value>' header
-    followed by one acceleration per line. Returns (t, accel). Line 1 may
+    followed by one acceleration per line. Returns (t, accel). Blank lines
+    and lines starting with '#' are skipped; the first other line may
     instead hold column names, none of which reads as a number."""
     rows = []
     dt_header = None
+    names_allowed = True
     for lineno, raw in enumerate(csv.reader(io.StringIO(read_text(path), newline="")), start=1):
         cells = [c.strip() for c in raw if c.strip() != ""]
         if not cells or cells[0].startswith("#"):
             continue
+        names_line, names_allowed = names_allowed, False
         if dt_header is None and not rows and cells[0].lower() == "dt":
             try:
                 dt_header = float(cells[1])
@@ -104,7 +115,7 @@ def _parse_quake_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
         try:
             values = [float(c) for c in cells]
         except ValueError as exc:
-            if lineno == 1 and not any(map(_is_number, cells)):
+            if names_line and not any(map(_is_number, cells)):
                 continue
             raise ConfigError(f"{path}:{lineno}: non-numeric row {cells!r}") from exc
         rows.append((lineno, values))
@@ -258,6 +269,74 @@ class SimulationTrace:
     label: str = ""
 
 
+def rk4_map(A, B, D, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """One RK4 step of dz/dt = A z + B f + D x as an affine map, and its stage z3 rows.
+
+    With the force of stage s held at f_s and the ground acceleration at x0,
+    xm, x1 (start, middle and end of the step), every stage state and the
+    next state are linear in v = (z0, z1, z2, z3, f1, f2, f3, f4, x0, xm, x1).
+    Returns (N, W): N (4, 11) maps v to the next state, and row s - 2 of
+    W (3, 11) maps v to z3 of the stage-s state, s = 2, 3, 4, from which
+    that stage's friction sign is taken. The homogeneous part N[:, :4] is
+    Phi = sum_{k<=4} (A dt)^k / k!, and the sum of the four f columns is
+    Gamma = dt sum_{k<=3} (A dt)^k / (k + 1)! B.
+
+    The stages are pushed through on the coefficients exactly as the step
+    runs them, with elementwise products and every row of A y summed as
+    (a0 y0 + a2 y2) + (a1 y1 + a3 y3): no BLAS, so the coefficients are the
+    same on any host.
+    """
+    A, B, D = (np.asarray(M, dtype=float) for M in (A, B, D))
+    a0, a1, a2, a3 = (A[:, j, None] for j in range(4))
+
+    def rate(y, f, x):
+        """Coefficients of A y + B f_s + D x for stage coefficients y (4, 11)."""
+        k = (a0 * y[0] + a2 * y[2]) + (a1 * y[1] + a3 * y[3])
+        k[:, f] += B
+        k[:, x] += D
+        return k
+
+    y1 = np.zeros((4, 11))
+    y1[range(4), range(4)] = 1.0
+    k1 = rate(y1, 4, 8)
+    y2 = y1 + (0.5 * dt) * k1
+    k2 = rate(y2, 5, 9)
+    y3 = y1 + (0.5 * dt) * k2
+    k3 = rate(y3, 6, 9)
+    y4 = y1 + dt * k3
+    k4 = rate(y4, 7, 10)
+    N = y1 + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    return N, np.array([y2[2], y3[2], y4[2]])
+
+
+def _in_layer_radius(plant: PlantStateSpace, controller: FeedbackLaw, dt: float) -> float:
+    """Spectral radius of the sampled in-layer loop Phi - Gamma (M0/epsilon) eta^T."""
+    N, _ = rk4_map(plant.A, plant.B, plant.D, dt)
+    M0, epsilon = controller.relay
+    gamma = N[:, 4] + N[:, 5] + N[:, 6] + N[:, 7]
+    loop = N[:, :4] - (M0 / epsilon) * np.outer(gamma, controller.gain)
+    return float(np.max(np.abs(np.linalg.eigvals(loop))))
+
+
+def _check_boundary_layer(plant: PlantStateSpace, controller: FeedbackLaw, dt: float) -> None:
+    """Refuse a relay whose in-layer loop, held over each step, is unstable at dt.
+
+    The message names the largest stable step, found by BISECTIONS halvings
+    of (0, dt)."""
+    rho = _in_layer_radius(plant, controller, dt)
+    if rho < 1.0:
+        return
+    lo, hi = 0.0, dt
+    for _ in range(BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _in_layer_radius(plant, controller, mid) < 1.0 else (lo, mid)
+    advice = (f"the largest stable dt is about {lo:.4g} s" if lo > 0.0
+              else "no step is stable")
+    raise ConfigError(f"{controller.label or 'relay'}: the boundary layer is unstable at "
+                      f"dt={dt:g} s (the in-layer loop, held over each step, has spectral "
+                      f"radius {rho:.4g}); {advice}")
+
+
 def simulate(plant: PlantStateSpace, controller: FeedbackLaw, quake: Accelerogram,
              t_end: float, mu_d: float = 0.0, dt: float | None = None,
              z0=None) -> SimulationTrace:
@@ -265,7 +344,11 @@ def simulate(plant: PlantStateSpace, controller: FeedbackLaw, quake: Accelerogra
 
     ``dt`` defaults to the record's sample interval, and ``z0`` must be four
     finite numbers. The controller gives the force once per step, and it is
-    held; friction and excitation vary inside the step. The step runs on
+    held; friction and excitation vary inside the step. A relay whose
+    boundary layer is unstable at ``dt`` once sampled is refused with
+    ``ConfigError``. Each step applies the coefficients of ``rk4_map``, built
+    once per run: the friction sign of each stage is read from that stage's
+    z3, so friction is evaluated in all four stages. The step runs on
     Python floats, with every sum in a fixed order, so repeated runs are
     bit-identical.
     """
@@ -288,45 +371,40 @@ def simulate(plant: PlantStateSpace, controller: FeedbackLaw, quake: Accelerogra
                           f"{MAX_RECORD_SAMPLES}")
     n = int(round(steps))
 
-    # excitation on the half-step grid: index 2i is t_i, 2i+1 is t_i + dt/2
-    t_half = 0.5 * dt * np.arange(2 * n + 1)
-    xg_half = np.interp(t_half, quake.time(), quake.samples)
-
     try:
         z = [0.0] * 4 if z0 is None else [finite_number("z0 entry", v) for v in z0]
     except TypeError:  # not iterable
         z = []
     if len(z) != 4:
         raise ConfigError(f"z0 must be 4 finite numbers, got {z0!r}")
+    relay = controller.relay is not None
+    if relay:
+        _check_boundary_layer(plant, controller, dt)
+
+    # excitation on the half-step grid: index 2i is t_i, 2i+1 is t_i + dt/2
+    t_half = 0.5 * dt * np.arange(2 * n + 1)
+    xg_half = np.interp(t_half, quake.time(), quake.samples)
 
     Z = np.empty((n + 1, 4))
     U = np.empty(n + 1)
     S = np.zeros(n + 1)
-    zv, uv, sv, xv = (memoryview(a) for a in (Z.reshape(-1), U, S, xg_half))
+    zv, uv, sv = (memoryview(a) for a in (Z.reshape(-1), U, S))
 
-    (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), \
-        (a30, a31, a32, a33) = plant.A.tolist()
-    b0, b1, b2, b3 = plant.B.tolist()
-    d0, d1, d2, d3 = plant.D.tolist()
+    N, W = rk4_map(plant.A, plant.B, plant.D, dt)
+    (p00, p01, p02, p03, q00, q01, q02, q03), (p10, p11, p12, p13, q10, q11, q12, q13), \
+        (p20, p21, p22, p23, q20, q21, q22, q23), (p30, p31, p32, p33, q30, q31, q32, q33) \
+        = N[:, :8].tolist()
+    w20, w21, w22, w23, w2a = W[0, :5].tolist()
+    w30, w31, w32, w33, w3a, w3b = W[1, :6].tolist()
+    w40, w41, w42, w43, w4a, w4b, w4c = W[2, :7].tolist()
+    # the excitation terms of the 3 stage z3 rows and the 4 next-state rows
+    X = np.concatenate([W[:, 8:], N[:, 8:]])[:, :, None]
     g0, g1, g2, g3 = controller.gain
-    relay = controller.relay is not None
     M0, eps = controller.relay if relay else (0.0, 1.0)  # read only with a relay
-
-    def rate(y0, y1, y2, y3, u, x):
-        """A y + B (u - mu_d sign(y2)) + D x, each row summed as
-        ((a0 y0 + a2 y2) + (a1 y1 + a3 y3)) + b f + d x."""
-        f = u - mu_d if y2 > 0.0 else (u + mu_d if y2 < 0.0 else u)
-        return (((a00 * y0 + a02 * y2) + (a01 * y1 + a03 * y3)) + b0 * f + d0 * x,
-                ((a10 * y0 + a12 * y2) + (a11 * y1 + a13 * y3)) + b1 * f + d1 * x,
-                ((a20 * y0 + a22 * y2) + (a21 * y1 + a23 * y3)) + b2 * f + d2 * x,
-                ((a30 * y0 + a32 * y2) + (a31 * y1 + a33 * y3)) + b3 * f + d3 * x)
 
     y0, y1, y2, y3 = z
     zv[0], zv[1], zv[2], zv[3] = y0, y1, y2, y3
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    isfinite = math.isfinite
-    x1 = xv[0]
+    start = stop = 0
     for i in range(n + 1):
         s = (g0 * y0 + g2 * y2) + (g1 * y1 + g3 * y3)
         if relay:  # saturated relay: -M0 sign(s), ramp -M0 s / eps inside |s| <= eps
@@ -337,24 +415,37 @@ def simulate(plant: PlantStateSpace, controller: FeedbackLaw, quake: Accelerogra
         uv[i] = u
         if i == n:
             break
-        x0, xm, x1 = x1, xv[2 * i + 1], xv[2 * i + 2]
-        k10, k11, k12, k13 = rate(y0, y1, y2, y3, u, x0)
-        k20, k21, k22, k23 = rate(y0 + half * k10, y1 + half * k11,
-                                  y2 + half * k12, y3 + half * k13, u, xm)
-        k30, k31, k32, k33 = rate(y0 + half * k20, y1 + half * k21,
-                                  y2 + half * k22, y3 + half * k23, u, xm)
-        k40, k41, k42, k43 = rate(y0 + dt * k30, y1 + dt * k31,
-                                  y2 + dt * k32, y3 + dt * k33, u, x1)
-        y0 = y0 + sixth * (k10 + 2.0 * (k20 + k30) + k40)
-        y1 = y1 + sixth * (k11 + 2.0 * (k21 + k31) + k41)
-        y2 = y2 + sixth * (k12 + 2.0 * (k22 + k32) + k42)
-        y3 = y3 + sixth * (k13 + 2.0 * (k23 + k33) + k43)
-        if not (isfinite(y0) and isfinite(y1) and isfinite(y2) and isfinite(y3)):
-            raise NumericalError(f"state diverged at t={(i + 1) * dt:.4f} s "
-                                 f"(controller={controller.label})")
+        if i == stop:  # excitation terms of the next STEP_BLOCK steps
+            start, stop = i, min(i + STEP_BLOCK, n)
+            x = xg_half[2 * start:2 * stop + 1]
+            rows = ((X[:, 0] * x[0:-1:2] + X[:, 1] * x[1::2])
+                    + X[:, 2] * x[2::2]).T.tolist()
+        h2, h3, h4, r0, r1, r2, r3 = rows[i - start]
+        # friction force of each stage: u - mu_d sign(stage z3), sign(0) = 0
+        f1 = u - mu_d if y2 > 0.0 else (u + mu_d if y2 < 0.0 else u)
+        c = ((w20 * y0 + w22 * y2) + (w21 * y1 + w23 * y3)) + w2a * f1 + h2
+        f2 = u - mu_d if c > 0.0 else (u + mu_d if c < 0.0 else u)
+        c = ((w30 * y0 + w32 * y2) + (w31 * y1 + w33 * y3)) + (w3a * f1 + w3b * f2) + h3
+        f3 = u - mu_d if c > 0.0 else (u + mu_d if c < 0.0 else u)
+        c = (((w40 * y0 + w42 * y2) + (w41 * y1 + w43 * y3))
+             + ((w4a * f1 + w4b * f2) + w4c * f3) + h4)
+        f4 = u - mu_d if c > 0.0 else (u + mu_d if c < 0.0 else u)
+        y0, y1, y2, y3 = (
+            ((p00 * y0 + p02 * y2) + (p01 * y1 + p03 * y3))
+            + ((q00 * f1 + q01 * f2) + (q02 * f3 + q03 * f4)) + r0,
+            ((p10 * y0 + p12 * y2) + (p11 * y1 + p13 * y3))
+            + ((q10 * f1 + q11 * f2) + (q12 * f3 + q13 * f4)) + r1,
+            ((p20 * y0 + p22 * y2) + (p21 * y1 + p23 * y3))
+            + ((q20 * f1 + q21 * f2) + (q22 * f3 + q23 * f4)) + r2,
+            ((p30 * y0 + p32 * y2) + (p31 * y1 + p33 * y3))
+            + ((q30 * f1 + q31 * f2) + (q32 * f3 + q33 * f4)) + r3)
         j = 4 * i + 4
         zv[j], zv[j + 1], zv[j + 2], zv[j + 3] = y0, y1, y2, y3
 
+    diverged = ~np.isfinite(Z).all(axis=1)
+    if diverged.any():
+        raise NumericalError(f"state diverged at t={int(np.argmax(diverged)) * dt:.4f} s "
+                             f"(controller={controller.label})")
     return SimulationTrace(t=dt * np.arange(n + 1), z=Z, u=U, sigma=S,
                            xg=xg_half[::2], label=controller.label)
 

@@ -357,6 +357,23 @@ def test_failed_compare_leaves_no_output_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_with_an_unstable_boundary_layer_exits_2(tmp_path, capsys):
+    # Quanser jz2 has M0 about 13.5 N: epsilon = 1e-3 puts (M0/epsilon) dt
+    # near 13.5 at the CLI's 1 ms step, far above the sampled loop's limit
+    raw = json.loads(fixture_path("quanser_tuning.json").read_text())
+    path = tmp_path / "thin.json"
+    path.write_text(json.dumps({**raw, "epsilon": 1e-3}))
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", "quanser.json", "--quake", "synthetic_quake.csv",
+               "--controller", "smc", "--tuning", str(path), "--t-end", "2",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "boundary layer is unstable at dt=0.001 s" in err
+    assert "largest stable dt is about" in err
+    assert not out.exists()
+
+
 def test_tune_nan_kappa_ceiling_exits_2(tmp_path, capsys):
     from smctune.fixtures import fixture_path
     raw = json.loads(fixture_path("quanser_tuning.json").read_text())

@@ -1,4 +1,6 @@
 """Record loading, RK4 closed-loop simulation, summaries, reaching behaviour."""
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -47,6 +49,15 @@ def test_malformed_first_row_is_not_taken_for_a_header(tmp_path):
         st.load_accelerogram(_write(tmp_path / "a.csv", rows))
     rec = st.load_accelerogram(_write(tmp_path / "b.csv", "t,accel\n" + rows.replace("x", "")))
     assert len(rec.samples) == 61 and rec.samples[0] == 0.1
+
+
+def test_column_names_may_follow_comment_lines(tmp_path):
+    # the column-name rule applies to the first line that is not a comment
+    text = "# station X\n\n# units m/s^2\nt,accel\n0.0,0.1\n0.02,0.2\n"
+    rec = st.load_accelerogram(_write(tmp_path / "cmt.csv", text))
+    assert len(rec.samples) == 21 and rec.samples[0] == 0.1 and rec.samples[-1] == 0.2
+    with pytest.raises(ConfigError, match=r"cmt2\.csv:3: non-numeric row"):
+        st.load_accelerogram(_write(tmp_path / "cmt2.csv", "# station X\n0.0,0.1\nt,accel\n"))
 
 
 def test_zero_record_scaling(tmp_path):
@@ -369,3 +380,124 @@ def test_synthetic_accelerogram_inputs_rejected(refuse_huge_arange, kwargs):
     # 1e6 s at 1 ms would be 1e9 samples
     with pytest.raises(ConfigError):
         st.synthetic_accelerogram(**kwargs)
+
+
+def _series(A, B, dt):
+    """Phi = sum_{k<=4} (A dt)^k / k! and Gamma = dt sum_{k<=3} (A dt)^k / (k + 1)! B."""
+    powers = [np.linalg.matrix_power(A * dt, k) for k in range(5)]
+    phi = sum(p / math.factorial(k) for k, p in enumerate(powers))
+    gamma = dt * sum(p / math.factorial(k + 1) for k, p in enumerate(powers[:4])) @ B
+    return phi, gamma
+
+
+@pytest.mark.parametrize("building", ["five_story", "quanser"])
+@pytest.mark.parametrize("dt", [1e-3, 0.02])
+def test_rk4_map_is_the_truncated_exponential(request, building, dt):
+    _, _, plant = request.getfixturevalue(building)
+    N, W = st.sim.rk4_map(plant.A, plant.B, plant.D, dt)
+    assert N.shape == (4, 11) and W.shape == (3, 11)
+    phi, gamma = _series(plant.A, plant.B, dt)
+    assert np.max(np.abs(N[:, :4] - phi)) <= 1e-14 * np.max(np.abs(phi))
+    assert np.max(np.abs(N[:, 4:8].sum(axis=1) - gamma)) <= 1e-14 * np.max(np.abs(gamma))
+    # a stage's z3 depends only on the forces and excitation samples before it
+    assert not np.any(W[0, 5:8]) and not np.any(W[0, 9:])
+    assert not np.any(W[1, 6:8]) and W[1, 10] == 0.0
+    assert W[2, 7] == 0.0 and W[2, 10] == 0.0
+
+
+def _rk4_map_by_hand(A, B, D, dt):
+    """rk4_map on Python floats, one coefficient at a time, in the same order."""
+    A, B, D = A.tolist(), B.tolist(), D.tolist()
+
+    def rate(y, f, x):
+        k = [[(A[r][0] * y[0][c] + A[r][2] * y[2][c]) + (A[r][1] * y[1][c] + A[r][3] * y[3][c])
+              for c in range(11)] for r in range(4)]
+        for r in range(4):
+            k[r][f] += B[r]
+            k[r][x] += D[r]
+        return k
+
+    def step(y, h, k):
+        return [[y[r][c] + h * k[r][c] for c in range(11)] for r in range(4)]
+
+    y1 = [[1.0 if c == r else 0.0 for c in range(11)] for r in range(4)]
+    k1 = rate(y1, 4, 8)
+    y2 = step(y1, 0.5 * dt, k1)
+    k2 = rate(y2, 5, 9)
+    y3 = step(y1, 0.5 * dt, k2)
+    k3 = rate(y3, 6, 9)
+    y4 = step(y1, dt, k3)
+    k4 = rate(y4, 7, 10)
+    N = [[y1[r][c] + (dt / 6.0) * (k1[r][c] + 2.0 * (k2[r][c] + k3[r][c]) + k4[r][c])
+          for c in range(11)] for r in range(4)]
+    return N, [y2[2], y3[2], y4[2]]
+
+
+@pytest.mark.parametrize("building", ["five_story", "quanser"])
+def test_rk4_map_equals_its_scalar_rebuild(request, building):
+    _, _, plant = request.getfixturevalue(building)
+    for dt in (1e-3, 5e-4, 0.02):
+        N, W = st.sim.rk4_map(plant.A, plant.B, plant.D, dt)
+        hand_N, hand_W = _rk4_map_by_hand(plant.A, plant.B, plant.D, dt)
+        assert N.tolist() == hand_N and W.tolist() == hand_W
+
+
+@pytest.mark.parametrize("building", ["five_story", "quanser"])
+def test_simulate_steps_by_the_rk4_map(request, building):
+    # one step from a scaled unit vector, no friction and no excitation,
+    # gives a column of the map back
+    _, _, plant = request.getfixturevalue(building)
+    tuned = request.getfixturevalue({"five_story": "tune_five_jz2",
+                                     "quanser": "tune_quanser_jz2"}[building])
+    dt = 1e-3
+    N, _ = st.sim.rk4_map(plant.A, plant.B, plant.D, dt)
+    phi, gamma = N[:, :4], N[:, 4:8].sum(axis=1)
+    smc = st.SmcControl(tuned.result.design)
+    M0, epsilon = smc.relay
+    in_layer = phi - (M0 / epsilon) * np.outer(gamma, smc.gain)
+    quiet = st.Accelerogram(dt=dt, samples=np.zeros(2))
+    scale = 2.0 ** -20  # |sigma| << epsilon: the relay is the linear ramp
+    for j in range(4):
+        z0 = scale * np.eye(4)[j]
+        passive = st.simulate(plant, st.PassiveControl(), quiet, dt, z0=z0)
+        assert (passive.z[1] / scale).tolist() == phi[:, j].tolist()
+        run = st.simulate(plant, smc, quiet, dt, z0=z0)
+        assert abs(run.sigma[0]) < 0.01 * epsilon
+        column = run.z[1] / scale
+        assert np.max(np.abs(column - in_layer[:, j])) <= 1e-14 * np.max(np.abs(in_layer))
+    # a constant ground acceleration from rest gives the sum of the x columns
+    steady = st.simulate(plant, st.PassiveControl(),
+                         st.Accelerogram(dt=dt, samples=np.full(2, scale)), dt)
+    x_sum = N[:, 8:].sum(axis=1)
+    assert np.max(np.abs(steady.z[1] / scale - x_sum)) <= 1e-14 * np.max(np.abs(x_sum))
+
+
+def test_block_boundaries_do_not_show(five_story, tune_five_jz2, quake):
+    # a run that ends inside an excitation block is the start of a longer run
+    setup, _, plant = five_story
+    controller = st.SmcControl(tune_five_jz2.result.design)
+    k = 2 * st.sim.STEP_BLOCK + 37
+    short = st.simulate(plant, controller, quake, k * 1e-3, mu_d=setup.atmd.mu_d)
+    long = st.simulate(plant, controller, quake, 4.0, mu_d=setup.atmd.mu_d)
+    assert len(short.t) == k + 1
+    for a, b in [(short.z, long.z), (short.u, long.u), (short.sigma, long.sigma),
+                 (short.xg, long.xg)]:
+        assert a.tolist() == b[:k + 1].tolist()
+
+
+@pytest.mark.parametrize("building", ["five_story", "quanser"])
+def test_unstable_boundary_layer_is_refused(request, building):
+    # the default step of synthetic_accelerogram is 20 ms, where the relay's
+    # ramp M0/epsilon held over each step makes the in-layer loop unstable
+    _, _, plant = request.getfixturevalue(building)
+    tuned = request.getfixturevalue({"five_story": "tune_five_jz2",
+                                     "quanser": "tune_quanser_jz2"}[building])
+    controller = st.SmcControl(tuned.result.design)
+    record = st.synthetic_accelerogram()
+    with pytest.raises(ConfigError, match="unstable at dt=0.02 s") as info:
+        st.simulate(plant, controller, record, 30)
+    largest = float(re.search(r"largest stable dt is about (\S+) s", str(info.value)).group(1))
+    assert 1e-3 < largest < 0.02
+    st.simulate(plant, controller, record, 1.0, dt=0.99 * largest)
+    with pytest.raises(ConfigError, match="largest stable dt"):
+        st.simulate(plant, controller, record, 1.0, dt=1.01 * largest)
