@@ -8,9 +8,9 @@ from .freqresp import (DEFAULT_BAND, DEFAULT_SAMPLES, dump_frequency_response,
                        frequency_grid)
 from .lqr import (LqrResult, LqrSpec, MaxValues, bryson_weights,
                   lqr_equivalent_polespec, solve_lqr, solve_riccati)
-from .sim import (Accelerogram, FeedbackLaw, LqrControl, PassiveControl, ReachingReport,
-                  SimulationTrace, SmcControl, load_accelerogram, reaching_check,
-                  simulate, summarize, synthetic_accelerogram, write_trace_csv)
+from .sim import (Accelerogram, FeedbackLaw, LqrControl, PassiveControl, SimulationTrace,
+                  SmcControl, load_accelerogram, simulate, summarize,
+                  synthetic_accelerogram, write_trace_csv)
 from .smc import SlidingDesign, design_sliding_controller, switching_gain
 from .structure import (AtmdParams, BuildingModel, BuildingSetup,
                         ExcitationBounds, ModalModel, PlantStateSpace,

@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import functools
 import json
+import logging
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -29,8 +30,8 @@ from .errors import ConfigError, InfeasibleTuningError, NumericalError, keyed, r
 from .fixtures import fixture_path
 from .freqresp import dump_frequency_response
 from .lqr import MaxValues, bryson_weights, lqr_equivalent_polespec, solve_lqr
-from .sim import (LqrControl, PassiveControl, SmcControl, load_accelerogram,
-                  simulate, summarize, write_trace_csv)
+from .sim import (RESAMPLE_DT, LqrControl, PassiveControl, SmcControl, _check_boundary_layer,
+                  load_accelerogram, simulate, summarize, write_trace_csv)
 from .structure import load_building_config, plant_from_setup
 from .tuning import INDEX_CHOICES, export_mesh, load_tuning_config, pick, tune
 
@@ -113,6 +114,11 @@ def cmd_tune(args) -> list:
         print(f"kappa = [{100 * best['kappa1']:.2f} cm, {1000 * best['kappa2']:.3f} mm, "
               f"{100 * best['kappa3']:.2f} cm/s, {best['kappa_u']:.3f} N]")
         print(f"chi = {result.chi:.4f} N   M0 = {result.M0:.4f} N")
+        try:  # simulate and compare would refuse this winner at the record's step
+            _check_boundary_layer(plant, SmcControl(design, label=f"smc-{config.index}"),
+                                  RESAMPLE_DT)
+        except ConfigError as exc:
+            logging.getLogger("smctune").warning("%s", exc)
     return [("result.json", result.to_json), ("mesh.csv", functools.partial(export_mesh, result))]
 
 

@@ -36,8 +36,6 @@ __all__ = [
     "SimulationTrace",
     "simulate",
     "summarize",
-    "reaching_check",
-    "ReachingReport",
     "rk4_map",
     "write_trace_csv",
 ]
@@ -205,7 +203,11 @@ def synthetic_accelerogram(duration: float = 40.0, dt: float = 0.02,
                         np.where(t < strong_end, 1.0, np.exp(-(t - strong_end) / decay_tau)))
     envelope[t > quiet_after] = 0.0
     shaped = motion * envelope
-    shaped /= np.max(np.abs(shaped))
+    peak = np.max(np.abs(shaped))
+    if peak == 0.0:
+        raise ConfigError(f"a {duration:g} s record at {dt:g} s is too short to hold any "
+                          f"frequency of the {lo:g}-{hi:g} Hz band")
+    shaped /= peak
     return Accelerogram(dt=dt, samples=shaped, label="synthetic")
 
 
@@ -259,7 +261,8 @@ def LqrControl(gain, label: str = "lqr") -> FeedbackLaw:
 
 @dataclass(frozen=True)
 class SimulationTrace:
-    """Closed-loop run on a fixed time grid; channels share one length."""
+    """Closed-loop run on a fixed time grid; channels share one length.
+    ``relay`` is the (M0, epsilon) of the SMC law that ran, else None."""
 
     t: np.ndarray
     z: np.ndarray        # (n, 4): damper stroke, floor displacement, their rates
@@ -267,6 +270,7 @@ class SimulationTrace:
     sigma: np.ndarray    # sliding variable (zero for non-SMC runs)
     xg: np.ndarray       # ground acceleration at the grid times, m/s^2
     label: str = ""
+    relay: tuple[float, float] | None = None
 
 
 def rk4_map(A, B, D, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -370,6 +374,8 @@ def simulate(plant: PlantStateSpace, controller: FeedbackLaw, quake: Accelerogra
         raise ConfigError(f"t_end / dt = {steps:g} steps exceeds the limit of "
                           f"{MAX_RECORD_SAMPLES}")
     n = int(round(steps))
+    if n == 0:
+        raise ConfigError(f"t_end={t_end} s is under half a step of dt={dt} s: no step to run")
 
     try:
         z = [0.0] * 4 if z0 is None else [finite_number("z0 entry", v) for v in z0]
@@ -447,11 +453,16 @@ def simulate(plant: PlantStateSpace, controller: FeedbackLaw, quake: Accelerogra
         raise NumericalError(f"state diverged at t={int(np.argmax(diverged)) * dt:.4f} s "
                              f"(controller={controller.label})")
     return SimulationTrace(t=dt * np.arange(n + 1), z=Z, u=U, sigma=S,
-                           xg=xg_half[::2], label=controller.label)
+                           xg=xg_half[::2], label=controller.label, relay=controller.relay)
 
 
 def summarize(trace: SimulationTrace, window: tuple[float, float] | None = None) -> dict:
-    """Per-channel RMS and absolute peak over the window (seconds, inclusive, finite)."""
+    """Per-channel RMS and absolute peak over the window (seconds, inclusive, finite).
+
+    A relay run adds "reaching" over the window's samples: fraction_in_layer
+    (share with |sigma| <= epsilon), n_outside (count with |sigma| > epsilon),
+    decay_violations (those outside, the last sample excepted, whose
+    sigma*dsigma >= 0 to the next) and max_abs_sigma."""
     t = trace.t
     if window is None:
         mask = np.ones(len(t), dtype=bool)
@@ -470,41 +481,15 @@ def summarize(trace: SimulationTrace, window: tuple[float, float] | None = None)
         x = channel[mask]
         out[name] = {"rms": float(np.sqrt(np.mean(x ** 2))),
                      "peak": float(np.max(np.abs(x)))}
+    if trace.relay is not None:
+        sigma = trace.sigma[mask]
+        inside = np.abs(sigma) <= trace.relay[1]
+        decay = (sigma[:-1] * np.diff(sigma) >= 0) & ~inside[:-1]
+        out["reaching"] = {"fraction_in_layer": float(np.mean(inside)),
+                           "n_outside": int(np.count_nonzero(~inside)),
+                           "decay_violations": int(np.count_nonzero(decay)),
+                           "max_abs_sigma": float(np.max(np.abs(sigma)))}
     return out
-
-
-@dataclass(frozen=True)
-class ReachingReport:
-    """How tightly the trajectory hugs the sliding plane."""
-
-    fraction_in_layer: float     # share of samples with |sigma| <= epsilon
-    n_outside: int               # samples strictly outside the boundary layer
-    decay_violations: int        # samples outside the layer with sigma*dsigma >= 0
-    max_abs_sigma: float
-
-
-def reaching_check(trace: SimulationTrace, design: SlidingDesign) -> ReachingReport:
-    """Boundary-layer occupancy and the discrete decay surrogate sigma*dsigma < 0.
-
-    Reads the sliding variable the simulator stored. A passive or LQR run
-    stores sigma = 0, so a trace that moved with an all-zero sigma is
-    rejected rather than reported as lying in the layer throughout.
-    """
-    sigma = trace.sigma
-    if not np.any(sigma) and np.any(trace.z):
-        raise ConfigError(f"trace {trace.label!r} stores no sliding variable; "
-                          "reaching_check needs a sliding-mode run")
-    eps = design.epsilon
-    inside = np.abs(sigma) <= eps
-    dsigma = np.diff(sigma)
-    outside_start = ~inside[:-1]
-    violations = int(np.count_nonzero((sigma[:-1] * dsigma >= 0) & outside_start))
-    return ReachingReport(
-        fraction_in_layer=float(np.mean(inside)),
-        n_outside=int(np.count_nonzero(~inside)),
-        decay_violations=violations,
-        max_abs_sigma=float(np.max(np.abs(sigma))),
-    )
 
 
 def write_trace_csv(trace: SimulationTrace, path) -> None:

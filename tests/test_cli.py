@@ -374,6 +374,39 @@ def test_simulate_with_an_unstable_boundary_layer_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_tune_warns_of_a_boundary_layer_simulate_refuses(tmp_path, capsys):
+    # the tuning file of the test above: tune still exits 0 and writes its
+    # files, and says on stderr what simulate says when it refuses the winner;
+    # the fixture's own epsilon draws no warning
+    raw = json.loads(fixture_path("quanser_tuning.json").read_text())
+    path = tmp_path / "thin.json"
+    path.write_text(json.dumps({**raw, "epsilon": 1e-3}))
+    assert main(["simulate", "--config", "quanser.json", "--quake", "synthetic_quake.csv",
+                 "--controller", "smc", "--tuning", str(path), "--t-end", "2",
+                 "--out", str(tmp_path / "sim")]) == 2
+    refusal = capsys.readouterr().err
+    src = Path(smctune.__file__).resolve().parents[1]
+    for tuning, stderr in [(str(path), refusal.removeprefix("error: ")),
+                           ("quanser_tuning.json", "")]:
+        out = tmp_path / Path(tuning).stem
+        run = subprocess.run(
+            [sys.executable, "-m", "smctune.cli", "tune", "--config", "quanser.json",
+             "--tuning", tuning, "--out", str(out)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert (run.returncode, run.stderr) == (0, stderr)
+        assert run.stdout.endswith(f"wrote {out / 'result.json'} and {out / 'mesh.csv'}\n")
+    assert "boundary layer is unstable at dt=0.001 s" in refusal
+
+
+def test_simulate_shorter_than_half_a_step_exits_2(tmp_path, capsys):
+    # 0.4 ms at 1 ms rounds to zero steps, which would leave a one-sample run
+    rc = main(["simulate", "--config", "quanser.json", "--quake", "synthetic_quake.csv",
+               "--controller", "passive", "--t-end", "0.0004", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "under half a step of dt=0.001 s" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_tune_nan_kappa_ceiling_exits_2(tmp_path, capsys):
     from smctune.fixtures import fixture_path
     raw = json.loads(fixture_path("quanser_tuning.json").read_text())

@@ -170,15 +170,15 @@ def test_sigma_decays_outside_boundary_layer(five_story, tune_five_jz2):
     quiet = st.Accelerogram(dt=0.001, samples=np.zeros(5001))
     trace = st.simulate(plant, st.SmcControl(design), quiet, 5.0, mu_d=0.0,
                         z0=np.array([0.01, 0.005, 0.0, -0.02]))
-    report = st.reaching_check(trace, design)
-    assert report.max_abs_sigma > design.epsilon  # the start is outside
-    assert report.decay_violations == 0
-    assert report.fraction_in_layer > 0.9  # settles into the layer quickly
+    report = st.summarize(trace)["reaching"]
+    assert report["max_abs_sigma"] > design.epsilon  # the start is outside
+    assert report["decay_violations"] == 0
+    assert report["fraction_in_layer"] > 0.9  # settles into the layer quickly
 
 
-def test_reaching_fraction_under_quake(five_story_runs, tune_five_jz2):
-    report = st.reaching_check(five_story_runs.smc_jz2, tune_five_jz2.result.design)
-    assert report.fraction_in_layer > 0.95
+def test_reaching_fraction_under_quake(five_story_runs):
+    report = st.summarize(five_story_runs.smc_jz2)["reaching"]
+    assert report["fraction_in_layer"] > 0.95
 
 
 def test_reaching_zero_excitation(five_story, tune_five_jz2):
@@ -186,21 +186,46 @@ def test_reaching_zero_excitation(five_story, tune_five_jz2):
     design = tune_five_jz2.result.design
     quiet = st.Accelerogram(dt=0.001, samples=np.zeros(1001))
     trace = st.simulate(plant, st.SmcControl(design), quiet, 1.0, mu_d=0.0)
-    report = st.reaching_check(trace, design)
-    assert report.fraction_in_layer == 1.0
-    assert report.n_outside == 0
+    report = st.summarize(trace)["reaching"]
+    assert report["fraction_in_layer"] == 1.0
+    assert report["n_outside"] == 0
 
 
-def test_reaching_reads_the_stored_sigma(five_story_runs, tune_five_jz2):
+def test_reaching_reads_the_stored_sigma(five_story_runs):
     trace = five_story_runs.smc_jz2
-    report = st.reaching_check(trace, tune_five_jz2.result.design)
-    assert report.max_abs_sigma == np.max(np.abs(trace.sigma))
+    report = st.summarize(trace)["reaching"]
+    assert report["max_abs_sigma"] == np.max(np.abs(trace.sigma))
 
 
-def test_reaching_rejects_a_trace_without_sigma(five_story_runs, tune_five_jz2):
-    # a passive run stores sigma = 0 while the structure moves
-    with pytest.raises(ConfigError, match="sliding variable"):
-        st.reaching_check(five_story_runs.passive, tune_five_jz2.result.design)
+def test_passive_and_lqr_summaries_hold_no_reaching(five_story, five_story_runs,
+                                                    tune_five_jz2, quake):
+    # a passive or LQR run stores sigma = 0 and has no boundary layer to report
+    _, _, plant = five_story
+    lqr = st.simulate(plant, _controller("lqr", plant, tune_five_jz2), quake, 2.0)
+    for trace in (five_story_runs.passive, lqr):
+        assert trace.relay is None
+        assert "reaching" not in st.summarize(trace)
+
+
+def test_reaching_counts_only_the_window_samples(five_story, tune_five_jz2):
+    # from an outside start sigma enters the layer and stays there: a window
+    # from the entry on holds no sample outside it, one up to the entry all
+    _, _, plant = five_story
+    design = tune_five_jz2.result.design
+    quiet = st.Accelerogram(dt=0.001, samples=np.zeros(2001))
+    trace = st.simulate(plant, st.SmcControl(design), quiet, 2.0, mu_d=0.0,
+                        z0=np.array([0.01, 0.005, 0.0, -0.02]))
+    outside = np.abs(trace.sigma) > design.epsilon
+    entry = int(np.flatnonzero(outside)[-1]) + 1
+    assert st.summarize(trace)["reaching"]["n_outside"] == entry > 1
+    late = st.summarize(trace, (trace.t[entry], 2.0))
+    assert late["reaching"] == {"fraction_in_layer": 1.0, "n_outside": 0,
+                                "decay_violations": 0,
+                                "max_abs_sigma": np.max(np.abs(trace.sigma[entry:]))}
+    early = st.summarize(trace, (0.0, trace.t[entry]))
+    assert early["n_samples"] == entry + 1
+    assert early["reaching"]["n_outside"] == entry
+    assert early["reaching"]["fraction_in_layer"] == 1.0 / (entry + 1)
 
 
 def test_passive_response_same_order_as_published(five_story_runs):
@@ -380,6 +405,13 @@ def test_synthetic_accelerogram_inputs_rejected(refuse_huge_arange, kwargs):
     # 1e6 s at 1 ms would be 1e9 samples
     with pytest.raises(ConfigError):
         st.synthetic_accelerogram(**kwargs)
+
+
+@pytest.mark.parametrize("duration, dt", [(0.05, 0.02), (0.06, 0.001)])
+def test_synthetic_accelerogram_too_short_for_the_band(duration, dt):
+    # every frequency bin lies outside 0.3-12 Hz, so the filtered record is zero
+    with pytest.raises(ConfigError, match=f"a {duration:g} s record at {dt:g} s is too short"):
+        st.synthetic_accelerogram(duration=duration, dt=dt)
 
 
 def _series(A, B, dt):
