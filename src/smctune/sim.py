@@ -101,11 +101,9 @@ def _parse_quake_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
             continue
         names_line, names_allowed = names_allowed, False
         if dt_header is None and not rows and cells[0].lower() == "dt":
-            try:
-                dt_header = float(cells[1])
-            except (IndexError, ValueError) as exc:
-                raise ConfigError(f"{path}:{lineno}: malformed dt header") from exc
-            dt_header = finite_number(f"{path}:{lineno}: dt header", dt_header)
+            if len(cells) != 2 or not _is_number(cells[1]):
+                raise ConfigError(f"{path}:{lineno}: malformed dt header")
+            dt_header = finite_number(f"{path}:{lineno}: dt header", float(cells[1]))
             if dt_header <= 0:
                 raise ConfigError(f"{path}:{lineno}: dt header must be positive, "
                                   f"got {dt_header}")

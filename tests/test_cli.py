@@ -456,7 +456,9 @@ def test_simulate_non_finite_t_end_exits_2(tmp_path, capsys, t_end):
     ("dt,-0.02\n0.0\n1.0\n-1.0\n", [], "dt header must be positive"),
     ("dt,0\n0.0\n1.0\n-1.0\n", [], "dt header must be positive"),
     ("dt,nan\n0.0\n1.0\n-1.0\n", [], "dt header must be finite"),
-], ids=["nan-time", "inf-time", "negative-dt-pga", "negative-dt-scale", "zero-dt", "nan-dt"])
+    ("dt,0.01,junk\n0.0\n1.0\n-1.0\n", [], "malformed dt header"),
+], ids=["nan-time", "inf-time", "negative-dt-pga", "negative-dt-scale", "zero-dt", "nan-dt",
+        "extra-dt-cell"])
 def test_simulate_bad_record_times_exit_2(tmp_path, capsys, record, scaling, message):
     quake = tmp_path / "quake.csv"
     quake.write_text(record)

@@ -40,6 +40,9 @@ def test_load_rejects_malformed(tmp_path):
         st.load_accelerogram(_write(tmp_path / "c.csv", "0.0,1.0\n0.2,2.0\n0.1,3.0\n"))
     with pytest.raises(ConfigError):  # ragged rows
         st.load_accelerogram(_write(tmp_path / "d.csv", "0.0,1.0\n0.1,2.0,3.0\n"))
+    for header in ("dt", "dt,0.01,junk", "dt,0.01,0.02"):  # one interval, as a row holds one value
+        with pytest.raises(ConfigError, match=r"e\.csv:1: malformed dt header"):
+            st.load_accelerogram(_write(tmp_path / "e.csv", header + "\n0.0\n0.5\n"))
 
 
 def test_malformed_first_row_is_not_taken_for_a_header(tmp_path):
