@@ -30,6 +30,7 @@ from .errors import ConfigError, InfeasibleTuningError, NumericalError, keyed, r
 from .fixtures import fixture_path
 from .freqresp import dump_frequency_response
 from .lqr import MaxValues, bryson_weights, lqr_equivalent_polespec, solve_lqr
+from .output import _cells
 from .sim import (RESAMPLE_DT, LqrControl, PassiveControl, SmcControl, _check_boundary_layer,
                   load_accelerogram, simulate, summarize, write_trace_csv)
 from .structure import load_building_config, plant_from_setup
@@ -240,11 +241,11 @@ def cmd_compare(args) -> list:
     stats = [(ch, stat) for ch in ("z1", "z2", "z3", "z4", "u") for stat in ("rms", "peak")]
 
     def comparison_csv(path):
+        cells = _cells([[summary[ch][stat] for ch, stat in stats] for _, summary in rows])
         with open(path, "w", newline="") as fh:
             fh.write(",".join(["controller", *(f"{ch}_{stat}" for ch, stat in stats)]) + "\n")
-            for label, summary in rows:
-                fh.write(",".join([label, *(repr(summary[ch][stat]) for ch, stat in stats)])
-                         + "\n")
+            for i, (label, _) in enumerate(rows):
+                fh.write(",".join([label, *cells[i * len(stats):(i + 1) * len(stats)]]) + "\n")
     baseline = rows[0][1]["z2"]
     ratios = {label: {f"z2_{stat}_attenuation": baseline[stat] / summary["z2"][stat]
                       if summary["z2"][stat] > 0 else None for stat in ("peak", "rms")}

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, write_table
+from .errors import ConfigError, NumericalError
+from .output import write_table
 from .smc import DesignBatch, SlidingDesign, dominant_pair, rowdot, sliding_polynomial
 
 __all__ = [
@@ -96,10 +97,11 @@ def transfer_batch(designs: DesignBatch) -> TransferBatch:
 
 
 def frequency_grid(band=DEFAULT_BAND, n_samples: int = DEFAULT_SAMPLES) -> np.ndarray:
-    """Uniform linear grid over the band, endpoints included: the plotted grid."""
+    """Uniform linear grid over the band, endpoints included: the plotted grid.
+    |H(j omega)| is even in omega, so a negative lower edge is refused."""
     lo, hi = band
-    if not lo < hi:
-        raise ConfigError(f"band must satisfy lower < upper, got {band}")
+    if not 0.0 <= lo < hi:
+        raise ConfigError(f"band must satisfy 0 <= lower < upper, got {band}")
     if n_samples < 2:
         raise ConfigError(f"need at least 2 samples, got {n_samples}")
     return np.linspace(lo, hi, int(n_samples))

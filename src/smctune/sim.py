@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, finite_number, read_text, write_table
+from .errors import ConfigError, NumericalError, finite_number, read_text
+from .output import write_table
 from .smc import SlidingDesign
 from .structure import PlantStateSpace
 
@@ -91,14 +92,19 @@ def _parse_quake_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     """Accept either two-column (t, accel) rows or a 'dt,<value>' header
     followed by one acceleration per line. Returns (t, accel). Blank lines
     and lines starting with '#' are skipped; the first other line may
-    instead hold column names, none of which reads as a number."""
+    instead hold column names, none of which reads as a number. Only trailing
+    cells of a row may be empty."""
     rows = []
     dt_header = None
     names_allowed = True
     for lineno, raw in enumerate(csv.reader(io.StringIO(read_text(path), newline="")), start=1):
-        cells = [c.strip() for c in raw if c.strip() != ""]
+        cells = [c.strip() for c in raw]
+        while cells and not cells[-1]:
+            cells.pop()
         if not cells or cells[0].startswith("#"):
             continue
+        if "" in cells:
+            raise ConfigError(f"{path}:{lineno}: empty cell in row {cells!r}")
         names_line, names_allowed = names_allowed, False
         if dt_header is None and not rows and cells[0].lower() == "dt":
             if len(cells) != 2 or not _is_number(cells[1]):
@@ -345,8 +351,9 @@ def simulate(plant: PlantStateSpace, controller: FeedbackLaw, quake: Accelerogra
     """Fixed-step RK4 run from rest (or ``z0``) for ``t_end`` seconds.
 
     ``dt`` defaults to the record's sample interval, and ``z0`` must be four
-    finite numbers. The controller gives the force once per step, and it is
-    held; friction and excitation vary inside the step. A relay whose
+    finite numbers. The round(t_end / dt) steps must not pass the record.
+    The controller gives the force once per step, and it is held; friction
+    and excitation vary inside the step. A relay whose
     boundary layer is unstable at ``dt`` once sampled is refused with
     ``ConfigError``. Each step applies the coefficients of ``rk4_map``, built
     once per run: the friction sign of each stage is read from that stage's
@@ -374,6 +381,10 @@ def simulate(plant: PlantStateSpace, controller: FeedbackLaw, quake: Accelerogra
     n = int(round(steps))
     if n == 0:
         raise ConfigError(f"t_end={t_end} s is under half a step of dt={dt} s: no step to run")
+    fit = math.floor((quake.duration + 1e-12) / dt)   # the most steps the record holds
+    if n > fit:
+        raise ConfigError(f"t_end={t_end} s at dt={dt} s runs to {n * dt} s, past the record's "
+                          f"end at {quake.duration} s; the longest t_end that fits is {fit * dt} s")
 
     try:
         z = [0.0] * 4 if z0 is None else [finite_number("z0 entry", v) for v in z0]
@@ -492,6 +503,6 @@ def summarize(trace: SimulationTrace, window: tuple[float, float] | None = None)
 
 def write_trace_csv(trace: SimulationTrace, path) -> None:
     """One row per sample: t, z1..z4, u, sigma, xg_dd, each as the shortest
-    repr that reads back to the same float (``errors.write_table``)."""
+    repr that reads back to the same float (``output.write_table``)."""
     write_table(path, "t,z1,z2,z3,z4,u,sigma,xg_dd",
                 (trace.t, trace.z, trace.u, trace.sigma, trace.xg))

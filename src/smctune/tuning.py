@@ -18,9 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (ConfigError, InfeasibleTuningError, NumericalError, finite_number, keyed,
-                     read_json_object, write_table)
-from .freqresp import (DEFAULT_BAND, DEFAULT_SAMPLES, band_peak, band_table, transfer_batch,
-                       zero_rows)
+                     read_json_object)
+from .freqresp import (DEFAULT_BAND, DEFAULT_SAMPLES, band_peak, band_table, frequency_grid,
+                       transfer_batch, zero_rows)
+from .output import _cells, write_table
 from .smc import (BOUNDARY_LAYER, SWITCHING_MARGIN, DesignBatch, SlidingDesign, ackermann_rows,
                   design_batch, dominant_pair, real_pole, sliding_vectors, switching_gain)
 from .structure import ModalModel, PlantStateSpace
@@ -82,7 +83,7 @@ class TuningConfig:
     plotted grid of ``smctune freq``; kappa and chi are exact.
     Every field is checked here, so a config that loads can be scanned: all
     numbers finite, 0 < zeta_l < zeta_u < 1, 0 < omega_nl < omega_nu, a band
-    with lower < upper, 2 <= n_samples <= MAX_SAMPLES, and at most
+    with 0 <= lower < upper, 2 <= n_samples <= MAX_SAMPLES, and at most
     MAX_GRID_POINTS points.
     """
 
@@ -111,8 +112,7 @@ class TuningConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"band must be a pair (lower, upper), got {self.band!r}") from exc
         band = (finite_number("band lower edge", lo), finite_number("band upper edge", hi))
-        if not band[0] < band[1]:
-            raise ConfigError(f"band must satisfy lower < upper, got {band}")
+        frequency_grid(band, 2)     # checks the edges
         object.__setattr__(self, "band", band)
         n_samples = finite_number("n_samples", self.n_samples)
         if n_samples != int(n_samples) or not 2 <= n_samples <= MAX_SAMPLES:
@@ -267,20 +267,21 @@ class TuningResult:
     def to_json(self, path) -> None:
         """Write ``json.dumps(self.to_dict(), indent=2, sort_keys=True)`` plus a
         newline to ``path``, byte for byte. ``"tuples"`` sorts last, so it
-        follows the summary as one row layout filled with ``%r`` (the float
-        repr of ``json``) from one column table; a non-finite value in it
-        raises NumericalError before the file is opened.
+        follows the summary as one row layout filled with the cells of one
+        column table (``output._cells``: the float repr that ``json`` writes);
+        a non-finite value in it raises NumericalError before the file is
+        opened.
         """
         columns = self.columns()
         table = np.column_stack(list(columns.values()))
         if not np.isfinite(table).all():
             raise NumericalError("a feasible tuple holds a non-finite value")
-        fields = [f'      "{name}": ' + ("%r" if column.ndim == 1 else
-                                          "[\n" + ",\n".join(["        %r"] * column.shape[1])
+        fields = [f'      "{name}": ' + ("%s" if column.ndim == 1 else
+                                          "[\n" + ",\n".join(["        %s"] * column.shape[1])
                                           + "\n      ]")
                   for name, column in columns.items()]
         layout = "    {\n" + ",\n".join(fields) + "\n    }"
-        body = ",\n".join([layout] * len(table)) % tuple(table.ravel().tolist())
+        body = ",\n".join([layout] * len(table)) % tuple(_cells(table))
         text = json.dumps({**self._summary(), "tuples": []}, indent=2, sort_keys=True)
         if body:
             text = text[:-len("[]\n}")] + f"[\n{body}\n  ]\n}}"
@@ -368,6 +369,6 @@ def export_mesh(result: TuningResult, path) -> None:
     if not result.feasible:
         raise InfeasibleTuningError(result.message)
     columns = (result.designs.zeta, result.omega_ratio, result.kappa)
-    best = np.hstack([column[result.best_index] for column in columns]).tolist()
+    best = np.hstack([column[result.best_index] for column in columns])
     write_table(path, ",".join(["zeta", "omega_n_over_omega0", *KAPPA_NAMES]), columns,
-                footer="# argmin," + ",".join(map(repr, best)) + "\n")
+                footer="# argmin," + ",".join(_cells([best])) + "\n")

@@ -12,7 +12,7 @@ import pytest
 
 import smctune
 
-MODULES = ("errors", "structure", "smc", "freqresp", "tuning", "lqr", "sim")
+MODULES = ("errors", "output", "structure", "smc", "freqresp", "tuning", "lqr", "sim")
 
 
 @pytest.mark.parametrize("name", MODULES)

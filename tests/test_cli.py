@@ -314,6 +314,21 @@ def test_compare_command(tmp_path):
     assert smc_rms < passive_rms
 
 
+def test_comparison_csv_is_the_repr_of_each_result(tmp_path):
+    # the label, then each value of comparison.json's results as its repr
+    rc = main(["compare", "--config", "quanser.json", "--quake", "synthetic_quake.csv",
+               "--tuning", "quanser_tuning.json", "--maxima", "quanser_lqr_maxima.json",
+               "--t-end", "2", "--out", str(tmp_path)])
+    assert rc == 0
+    results = json.loads((tmp_path / "comparison.json").read_text())["results"]
+    stats = [(ch, stat) for ch in ("z1", "z2", "z3", "z4", "u") for stat in ("rms", "peak")]
+    lines = [["controller", *(f"{ch}_{stat}" for ch, stat in stats)]]
+    lines += [[label, *(repr(results[label][ch][stat]) for ch, stat in stats)]
+              for label in ("passive", "smc-jz2", "smc-ju", "lqr")]
+    oracle = "".join(",".join(line) + "\n" for line in lines)
+    assert (tmp_path / "comparison.csv").read_bytes() == oracle.encode()
+
+
 def test_compare_runs_one_scan(tmp_path, monkeypatch):
     scans = []
     tune = smctune.cli.tune
@@ -457,8 +472,9 @@ def test_simulate_non_finite_t_end_exits_2(tmp_path, capsys, t_end):
     ("dt,0\n0.0\n1.0\n-1.0\n", [], "dt header must be positive"),
     ("dt,nan\n0.0\n1.0\n-1.0\n", [], "dt header must be finite"),
     ("dt,0.01,junk\n0.0\n1.0\n-1.0\n", [], "malformed dt header"),
+    ("t,accel\n0.0,0.0\n0.01,,0.5\n0.02,1.0\n", [], "quake.csv:3: empty cell"),
 ], ids=["nan-time", "inf-time", "negative-dt-pga", "negative-dt-scale", "zero-dt", "nan-dt",
-        "extra-dt-cell"])
+        "extra-dt-cell", "empty-cell"])
 def test_simulate_bad_record_times_exit_2(tmp_path, capsys, record, scaling, message):
     quake = tmp_path / "quake.csv"
     quake.write_text(record)

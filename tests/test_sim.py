@@ -40,6 +40,11 @@ def test_load_rejects_malformed(tmp_path):
         st.load_accelerogram(_write(tmp_path / "c.csv", "0.0,1.0\n0.2,2.0\n0.1,3.0\n"))
     with pytest.raises(ConfigError):  # ragged rows
         st.load_accelerogram(_write(tmp_path / "d.csv", "0.0,1.0\n0.1,2.0,3.0\n"))
+    for row in ("0.01,,0.5", ",0.01,0.5"):  # an empty cell is not dropped
+        with pytest.raises(ConfigError, match=r"f\.csv:3: empty cell"):
+            st.load_accelerogram(_write(tmp_path / "f.csv", f"t,accel\n0.0,0.0\n{row}\n"))
+    rec = st.load_accelerogram(_write(tmp_path / "g.csv", "0.0,0.0,,\n0.01,0.5, \n"))
+    assert rec.samples[-1] == 0.5  # trailing empty cells end a row
     for header in ("dt", "dt,0.01,junk", "dt,0.01,0.02"):  # one interval, as a row holds one value
         with pytest.raises(ConfigError, match=r"e\.csv:1: malformed dt header"):
             st.load_accelerogram(_write(tmp_path / "e.csv", header + "\n0.0\n0.5\n"))
@@ -374,6 +379,22 @@ def test_simulate_step_count_is_capped(five_story, quake, refuse_huge_arange, dt
         st.simulate(plant, st.PassiveControl(), quake, 30.0, dt=dt)
 
 
+def test_run_past_the_record_end_is_refused(quanser):
+    # 10 s at 1.5 ms rounds to 6667 steps, to 10.0005 s, where np.interp would
+    # hold the record's last sample; the message names the run that fits
+    _, _, plant = quanser
+    record = st.synthetic_accelerogram(10.0, 0.001)
+    message = "to 10.0005 s, past the record's end at 10.0 s; the longest t_end that fits is"
+    with pytest.raises(ConfigError, match=re.escape(message)) as refused:
+        st.simulate(plant, st.PassiveControl(), record, 10.0, dt=0.0015)
+    fit = float(re.search(r"fits is (\S+) s", str(refused.value)).group(1))
+    assert st.simulate(plant, st.PassiveControl(), record, fit, dt=0.0015).t[-1] <= 10.0
+    assert st.simulate(plant, st.PassiveControl(), record, 10.0).t[-1] == record.duration
+    with pytest.raises(ConfigError, match="the longest t_end that fits is 0.0 s"):
+        st.simulate(plant, st.PassiveControl(), st.Accelerogram(0.001, np.zeros(2)), 0.001,
+                    dt=0.0015)
+
+
 @pytest.mark.parametrize("dt", [float("nan"), float("inf"), "0.01", True])
 def test_accelerogram_interval_must_be_a_finite_number(dt):
     with pytest.raises(ConfigError):
@@ -387,7 +408,7 @@ def test_load_accelerogram_rejects_non_finite_scale():
 
 def test_trace_csv_matches_per_cell_writer(tmp_path):
     rng = np.random.default_rng(11)
-    n = 2 * st.errors.CSV_BLOCK_ROWS + 3  # crosses two block boundaries
+    n = 2 * st.output.CSV_BLOCK_ROWS + 3  # crosses two block boundaries
     columns = rng.normal(scale=10.0, size=(n, 8)) * 10.0 ** rng.integers(-300, 300, size=(n, 8))
     special = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 3.0, -7.0, 1e16, 0.1, 2.5e-8]
     columns[:len(special), :] = np.array(special)[:, None]

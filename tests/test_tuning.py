@@ -1,5 +1,6 @@
 """Grid-search tuning: published operating points, regions, and determinism."""
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ import smctune.cli
 from smctune.errors import ConfigError, InfeasibleTuningError, NumericalError
 from smctune.fixtures import fixture_path
 from conftest import quad_kappa, scalar_path_mismatches, transfer_of
+from test_write_table import _EDGES
 
 
 def test_five_story_jz2_operating_point(five_story, tune_five_jz2):
@@ -274,9 +276,12 @@ def test_result_json_refuses_a_non_finite_tuple(tmp_path, tune_quanser_jz2):
 
 
 # floats whose repr takes each of its forms: signed zero, the smallest
-# subnormal, exponent notation below 1e-4 and from 1e16, and the largest scale
+# subnormal, exponent notation below 1e-4 and from 1e16, and the largest
+# scale; and the finite edges of the shortest-digit kernel, the cells it
+# leaves to repr (powers of two, 2^50, 2^-32 neighbours, integers, subnormals)
 _EDGE_FLOATS = hst.sampled_from([-0.0, 5e-324, 1e-7, 1e16, 1e300, -1e300])
-_FLOATS = _EDGE_FLOATS | hst.floats(allow_nan=False, allow_infinity=False)
+_FLOATS = (_EDGE_FLOATS | hst.sampled_from([x for x in _EDGES if math.isfinite(x)])
+           | hst.floats(allow_nan=False, allow_infinity=False))
 
 
 @settings(max_examples=40, deadline=None,
@@ -334,6 +339,26 @@ def test_reversed_band_rejected_at_load():
         st.load_tuning_config(_quanser_tuning(band=[40.0 * np.pi, 2.0 * np.pi]))
     with pytest.raises(ConfigError, match="band"):
         st.load_tuning_config(_quanser_tuning(band=[2.0 * np.pi, float("nan")]))
+
+
+def test_negative_band_edge_rejected_and_zero_accepted(quanser):
+    # |H| is even in omega, so a band from -50 rad/s would count [0, 50] twice
+    # in kappa, and chi would look for the force peak only above 50 rad/s
+    hi = 40.0 * np.pi
+    with pytest.raises(ConfigError, match="0 <= lower"):
+        st.load_tuning_config(_quanser_tuning(band=[-50.0, hi]))
+    with pytest.raises(ConfigError, match="0 <= lower"):
+        st.frequency_grid((-50.0, hi))
+    _, modal, plant = quanser
+    bars = dict.fromkeys(st.tuning.KAPPA_NAMES, 1e6)
+    result = st.tune(plant, modal, st.load_tuning_config(_quanser_tuning(band=[0.0, hi],
+                                                                         kappa_bars=bars)))
+    assert result.config.band == (0.0, hi)
+    # chi is the exact peak of |H_u| over [0, hi], so a fine grid comes just under it
+    winner = st.freqresp.transfer_batch(result.designs.take([result.best_index]))
+    grid = st.frequency_grid((0.0, hi), 20001)
+    peak = np.sqrt(st.freqresp._band_squares(winner, plant.bounds.delta, grid)[3].max())
+    assert peak <= result.chi * (1 + 1e-12) and result.chi <= peak * (1 + 1e-6)
 
 
 @pytest.mark.parametrize("n_samples", [1, 0, -5, 2.5, 10**9])

@@ -1,5 +1,6 @@
-"""The float CSV writer: each cell is byte for byte ``repr(float(cell))``,
-whether the numpy kernel or ``repr`` itself writes it."""
+"""The float formatter of every output file: each cell ``write_table`` and
+``_cells`` give is byte for byte ``repr(float(cell))``, whether the numpy
+kernel or ``repr`` itself writes it."""
 import math
 import struct
 
@@ -9,8 +10,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hst
 
 import smctune as st
-from smctune import errors
-from smctune.errors import write_table
+from smctune import output
+from smctune.output import _cells, write_table
 from conftest import reference_trace_csv
 
 
@@ -66,7 +67,7 @@ def _table(rows: int, cols: int, seed: int, drawn: list[float]) -> np.ndarray:
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(cols=hst.sampled_from([1, 5, 8]),
-       rows=hst.integers(1, 40) | hst.integers(errors.CSV_BLOCK_ROWS - 2, 2 * errors.CSV_BLOCK_ROWS + 3),
+       rows=hst.integers(1, 40) | hst.integers(output.CSV_BLOCK_ROWS - 2, 2 * output.CSV_BLOCK_ROWS + 3),
        seed=hst.integers(0, 2 ** 32 - 1),
        drawn=hst.lists(hst.sampled_from(_EDGES) | _BITS, max_size=60))
 def test_write_table_is_repr_of_each_cell(tmp_path, cols, rows, seed, drawn):
@@ -74,10 +75,20 @@ def test_write_table_is_repr_of_each_cell(tmp_path, cols, rows, seed, drawn):
     assert _write(tmp_path / "t.csv", table) == _oracle("h", table)
 
 
+@settings(max_examples=60, deadline=None)
+@given(cols=hst.sampled_from([1, 6, 18]),
+       rows=hst.integers(0, 40) | hst.integers(output.CSV_BLOCK_ROWS - 2, 2 * output.CSV_BLOCK_ROWS + 3),
+       seed=hst.integers(0, 2 ** 32 - 1),
+       drawn=hst.lists(hst.sampled_from(_EDGES) | _BITS, max_size=60))
+def test_cells_are_repr_of_each_cell(cols, rows, seed, drawn):
+    table = _table(rows, cols, seed, drawn[:rows * cols])
+    assert _cells(table) == [repr(cell) for cell in table.ravel().tolist()]
+
+
 @pytest.mark.parametrize("cols", [1, 5, 8])
 def test_every_edge_value_in_every_column(tmp_path, cols):
     # each edge value in each column, the rows crossing a block boundary
-    values = np.resize(np.array(_EDGES), errors.CSV_BLOCK_ROWS + len(_EDGES))
+    values = np.resize(np.array(_EDGES), output.CSV_BLOCK_ROWS + len(_EDGES))
     table = np.stack([np.roll(values, 3 * j) for j in range(cols)], axis=1)
     assert _write(tmp_path / "t.csv", table) == _oracle("h", table)
 
@@ -106,7 +117,7 @@ def test_most_trace_cells_skip_repr(tmp_path, monkeypatch, five_story_runs):
         calls.append(value)
         return repr(value)
 
-    monkeypatch.setattr(errors, "repr", counting_repr, raising=False)
+    monkeypatch.setattr(output, "repr", counting_repr, raising=False)
     st.write_trace_csv(trace, tmp_path / "trace.csv")
     monkeypatch.undo()
     cells = len(trace.t) * 8
