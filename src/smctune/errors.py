@@ -12,7 +12,7 @@ from numbers import Real
 from pathlib import Path
 
 __all__ = ["ConfigError", "NumericalError", "InfeasibleTuningError", "finite_number",
-           "read_text", "read_json_object", "keyed"]
+           "positive_number", "read_text", "read_json_object", "keyed"]
 
 
 class ConfigError(ValueError):
@@ -39,6 +39,14 @@ def finite_number(name: str, value) -> float:
     number = float(value)
     if not math.isfinite(number):
         raise ConfigError(f"{name} must be finite, got {number}")
+    return number
+
+
+def positive_number(name: str, value) -> float:
+    """``finite_number(name, value)``, or ConfigError unless it is above zero."""
+    number = finite_number(name, value)
+    if number <= 0:
+        raise ConfigError(f"{name} must be positive, got {number}")
     return number
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, finite_number, positive_number
 from .output import write_table
 from .smc import DesignBatch, SlidingDesign, dominant_pair, rowdot, sliding_polynomial
 
@@ -33,6 +33,8 @@ __all__ = [
 DEFAULT_BAND = (2.0 * np.pi, 40.0 * np.pi)
 #: frequency samples of the plotted grid (``dump_frequency_response``)
 DEFAULT_SAMPLES = 2000
+#: most frequency samples of the plotted grid (kappa and chi do not use it)
+MAX_SAMPLES = 100_000
 
 
 def zero_rows(eta: np.ndarray):
@@ -96,15 +98,31 @@ def transfer_batch(designs: DesignBatch) -> TransferBatch:
     return TransferBatch(den=den, roots=roots, nums=nums, gains=gains)
 
 
+def _band_edges(band) -> tuple[float, float]:
+    """The edges (lower, upper) of ``band`` as floats (a -0.0 stays -0.0), or
+    ConfigError unless they are finite with 0 <= lower < upper. |H(j omega)|
+    is even in omega, so a negative lower edge is refused."""
+    try:
+        lo, hi = band
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"band must be a pair (lower, upper), got {band!r}") from exc
+    edges = (finite_number("band lower edge", lo), finite_number("band upper edge", hi))
+    if not 0.0 <= edges[0] < edges[1]:
+        raise ConfigError(f"band must satisfy 0 <= lower < upper, got {edges}")
+    return edges
+
+
+def _sample_count(n_samples) -> int:
+    """``n_samples`` as an int, or ConfigError unless it is an integer in [2, MAX_SAMPLES]."""
+    n = finite_number("n_samples", n_samples)
+    if n != int(n) or not 2 <= n <= MAX_SAMPLES:
+        raise ConfigError(f"n_samples must be an integer in [2, {MAX_SAMPLES}], got {n_samples}")
+    return int(n)
+
+
 def frequency_grid(band=DEFAULT_BAND, n_samples: int = DEFAULT_SAMPLES) -> np.ndarray:
-    """Uniform linear grid over the band, endpoints included: the plotted grid.
-    |H(j omega)| is even in omega, so a negative lower edge is refused."""
-    lo, hi = band
-    if not 0.0 <= lo < hi:
-        raise ConfigError(f"band must satisfy 0 <= lower < upper, got {band}")
-    if n_samples < 2:
-        raise ConfigError(f"need at least 2 samples, got {n_samples}")
-    return np.linspace(lo, hi, int(n_samples))
+    """Uniform linear grid over the band, endpoints included: the plotted grid."""
+    return np.linspace(*_band_edges(band), _sample_count(n_samples))
 
 
 def _horner(ascending: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -134,8 +152,6 @@ def _band_squares(batch: TransferBatch, delta: float, omega: np.ndarray) -> list
     or one per row (m, n). |den|^2 is evaluated once for all channels. Every
     step is elementwise, so a row's values do not depend on the other rows.
     """
-    if delta <= 0:
-        raise ConfigError(f"delta must be positive, got {delta}")
     x = -(omega * omega)
     den_sq = _squared_magnitude(batch.den, x, omega)
     return [np.square(delta * gain)[:, None] * _squared_magnitude(num, x, omega) / den_sq
@@ -154,9 +170,7 @@ def band_table(batch: TransferBatch, delta: float, band=DEFAULT_BAND) -> np.ndar
     the branch cut (real part -Re l_i > 0). Elementwise, summed in a fixed
     order: a row's kappa does not depend on the rows evaluated with it.
     """
-    if delta <= 0:
-        raise ConfigError(f"delta must be positive, got {delta}")
-    lo, hi = frequency_grid(band, 2)    # the band edges, checked
+    delta, (lo, hi) = positive_number("delta", delta), _band_edges(band)
     roots, index = batch.roots, np.arange(batch.roots.shape[1])
     product = np.ones_like(roots)       # D'(l_i) D(-l_i), one factor pair per root l_j
     for j in index:
@@ -188,7 +202,7 @@ def band_peak(batch: TransferBatch, delta: float, band=DEFAULT_BAND) -> np.ndarr
     so a spurious one cannot raise chi and a real root that rounding moved
     off the axis is kept. An edge peak is the plotted Hu value bit for bit.
     """
-    lo, hi = frequency_grid(band, 2)    # the band edges, checked
+    delta, (lo, hi) = positive_number("delta", delta), _band_edges(band)
     # room for the two edges and every root; unused slots repeat the lower edge
     omega = np.full((len(batch.den), batch.nums[3].shape[1] + batch.den.shape[1]), lo)
     omega[:, 1] = hi
@@ -209,11 +223,11 @@ def dump_frequency_response(design: SlidingDesign, delta: float, path,
     chi if chi sits at a band edge, below it otherwise. A design whose
     transfer zeros are undefined raises NumericalError.
     """
+    delta, omega = positive_number("delta", delta), frequency_grid(band, n_samples)
     designs = DesignBatch.of(design)
     if not zero_rows(designs.eta)[2][0]:
         raise NumericalError(
             "sliding vector has a vanishing third or fourth component; "
             "transfer-function zeros are undefined")
-    omega = frequency_grid(band, n_samples)
     squares = _band_squares(transfer_batch(designs), delta, omega)
     write_table(path, "omega_rad_s,H1,H2,H3,Hu", [omega] + [np.sqrt(sq[0]) for sq in squares])

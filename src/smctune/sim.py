@@ -17,11 +17,12 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, finite_number, read_text
+from .errors import ConfigError, NumericalError, finite_number, positive_number, read_text
 from .output import write_table
 from .smc import SlidingDesign
 from .structure import PlantStateSpace
@@ -55,16 +56,24 @@ BISECTIONS = 40
 
 @dataclass(frozen=True)
 class Accelerogram:
-    """Uniformly sampled ground acceleration record (m/s^2)."""
+    """Uniformly sampled ground acceleration record (m/s^2): a positive ``dt``
+    and a non-empty 1-D array of finite numbers, stored as float64 (a float64
+    array is kept, not copied)."""
 
     dt: float
     samples: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "dt", finite_number("sample interval", self.dt))
-        if self.dt <= 0:
-            raise ConfigError(f"sample interval must be positive, got {self.dt}")
+        object.__setattr__(self, "dt", positive_number("sample interval", self.dt))
+        try:
+            samples = np.asarray(self.samples)
+        except ValueError as exc:   # a ragged sequence
+            raise ConfigError("accelerogram samples must be one sequence of numbers") from exc
+        if samples.dtype.kind not in "iuf" or samples.ndim != 1 or not len(samples):
+            raise ConfigError(f"accelerogram samples must be a non-empty 1-D array of numbers, "
+                              f"got shape {samples.shape} of {samples.dtype}")
+        object.__setattr__(self, "samples", samples.astype(float, copy=False))
         if not np.all(np.isfinite(self.samples)):
             raise ConfigError("accelerogram contains non-finite samples")
 
@@ -109,10 +118,7 @@ def _parse_quake_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
         if dt_header is None and not rows and cells[0].lower() == "dt":
             if len(cells) != 2 or not _is_number(cells[1]):
                 raise ConfigError(f"{path}:{lineno}: malformed dt header")
-            dt_header = finite_number(f"{path}:{lineno}: dt header", float(cells[1]))
-            if dt_header <= 0:
-                raise ConfigError(f"{path}:{lineno}: dt header must be positive, "
-                                  f"got {dt_header}")
+            dt_header = positive_number(f"{path}:{lineno}: dt header", float(cells[1]))
             continue
         try:
             values = [float(c) for c in cells]
@@ -147,9 +153,7 @@ def load_accelerogram(path, scale: float = 1.0, scale_mode: str = "factor") -> A
     the peak absolute acceleration equals ``scale`` (m/s^2). The record's
     label is the file's stem.
     """
-    scale = finite_number("scale", scale)
-    if scale <= 0:
-        raise ConfigError(f"scale must be positive, got {scale}")
+    scale = positive_number("scale", scale)
     path = Path(path)
     t, acc = _parse_quake_csv(path)
 
@@ -180,11 +184,12 @@ def synthetic_accelerogram(duration: float = 40.0, dt: float = 0.02,
     Band-limited Gaussian noise (flat over 0.3-12 Hz, raised-cosine
     roll-off) shaped by a rise/strong/decay envelope. Useful when no recorded
     ground motion is at hand; any real record in CSV form can be used instead.
-    duration and dt must be positive and give at most MAX_RECORD_SAMPLES samples.
+    duration and dt must be positive and give at most MAX_RECORD_SAMPLES samples,
+    and seed must be a non-negative integer.
     """
-    duration, dt = finite_number("duration", duration), finite_number("dt", dt)
-    if duration <= 0 or dt <= 0:
-        raise ConfigError(f"duration and dt must be positive, got {duration} and {dt}")
+    duration, dt = positive_number("duration", duration), positive_number("dt", dt)
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     samples = np.rint(duration / dt) + 1.0
     if not samples <= MAX_RECORD_SAMPLES:  # also inf
         raise ConfigError(f"a {duration:g} s record at {dt:g} s has {samples:.4g} samples, "
@@ -292,8 +297,9 @@ def rk4_map(A, B, D, dt: float) -> tuple[np.ndarray, np.ndarray]:
     The stages are pushed through on the coefficients exactly as the step
     runs them, with elementwise products and every row of A y summed as
     (a0 y0 + a2 y2) + (a1 y1 + a3 y3): no BLAS, so the coefficients are the
-    same on any host.
+    same on any host. ``dt`` must be finite and positive.
     """
+    dt = positive_number("dt", dt)
     A, B, D = (np.asarray(M, dtype=float) for M in (A, B, D))
     a0, a1, a2, a3 = (A[:, j, None] for j in range(4))
 
@@ -363,13 +369,9 @@ def simulate(plant: PlantStateSpace, controller: FeedbackLaw, quake: Accelerogra
     """
     if not isinstance(controller, FeedbackLaw):
         raise ConfigError(f"unknown controller type {type(controller).__name__}")
-    dt = quake.dt if dt is None else finite_number("dt", dt)
-    t_end = finite_number("t_end", t_end)
+    dt = quake.dt if dt is None else positive_number("dt", dt)
+    t_end = positive_number("t_end", t_end)
     mu_d = finite_number("mu_d", mu_d)
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
-    if t_end <= 0:
-        raise ConfigError("t_end must be positive")
     if t_end > quake.duration + 1e-12:
         raise ConfigError(f"t_end={t_end} s exceeds the record length {quake.duration} s")
     if mu_d < 0:
@@ -473,19 +475,14 @@ def summarize(trace: SimulationTrace, window: tuple[float, float] | None = None)
     decay_violations (those outside, the last sample excepted, whose
     sigma*dsigma >= 0 to the next) and max_abs_sigma."""
     t = trace.t
-    if window is None:
-        mask = np.ones(len(t), dtype=bool)
-        window = (float(t[0]), float(t[-1]))
-    else:
-        a, b = window
-        a, b = finite_number("window lower bound", a), finite_number("window upper bound", b)
-        if b < a:
-            raise ConfigError(f"window upper bound {b} is below lower bound {a}")
-        mask = (t >= a - 1e-12) & (t <= b + 1e-12)
-        if not np.any(mask):
-            raise ConfigError(f"window {window} contains no samples")
-    out = {"window": [float(window[0]), float(window[1])],
-           "n_samples": int(np.count_nonzero(mask))}
+    a, b = (t[0], t[-1]) if window is None else window   # None: the whole run
+    a, b = finite_number("window lower bound", a), finite_number("window upper bound", b)
+    if b < a:
+        raise ConfigError(f"window upper bound {b} is below lower bound {a}")
+    mask = (t >= a - 1e-12) & (t <= b + 1e-12)
+    if not np.any(mask):
+        raise ConfigError(f"window {window} contains no samples")
+    out = {"window": [a, b], "n_samples": int(np.count_nonzero(mask))}
     for name, channel in zip(("z1", "z2", "z3", "z4", "u"), (*trace.z.T, trace.u)):
         x = channel[mask]
         out[name] = {"rms": float(np.sqrt(np.mean(x ** 2))),

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, finite_number
+from .errors import ConfigError, NumericalError, finite_number, positive_number
 from .structure import PlantStateSpace, controllability_matrix
 
 __all__ = [
@@ -280,11 +280,9 @@ def switching_gain(chi: float, varpi: float, varsigma: float = SWITCHING_MARGIN)
     finite-time reaching. Each must be a finite number, or ConfigError.
     """
     chi, varpi = finite_number("chi", chi), finite_number("varpi", varpi)
-    varsigma = finite_number("varsigma", varsigma)
+    varsigma = positive_number("varsigma", varsigma)
     if chi < 0 or varpi < 0:
         raise ConfigError("chi and varpi must be non-negative")
-    if varsigma <= 0:
-        raise ConfigError("varsigma must be positive")
     return varpi + chi + varsigma
 
 
@@ -301,15 +299,11 @@ def design_sliding_controller(plant: PlantStateSpace, zeta: float, omega_n: floa
     switching gain is left unset; it follows from the force peak over the
     excitation band (see freqresp.band_peak and switching_gain).
     """
-    zeta, omega_n = finite_number("zeta", zeta), finite_number("omega_n", omega_n)
+    zeta, omega_n = finite_number("zeta", zeta), positive_number("omega_n", omega_n)
     if not 0.0 < zeta < 1.0:
         raise ConfigError(f"zeta must lie in (0, 1), got {zeta}")
-    if omega_n <= 0.0:
-        raise ConfigError(f"omega_n must be positive, got {omega_n}")
     lambda3 = real_pole(zeta, omega_n) if lambda3 is None else finite_number("lambda3", lambda3)
     if lambda3 >= 0.0:
         raise ConfigError(f"lambda3 must be negative, got {lambda3}")
-    epsilon = finite_number("epsilon", epsilon)
-    if epsilon <= 0.0:
-        raise ConfigError(f"epsilon must be positive, got {epsilon}")
+    epsilon = positive_number("epsilon", epsilon)
     return design_batch(plant, zeta, omega_n, lambda3).design(0, epsilon)

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, finite_number, keyed, read_json_object
+from .errors import (ConfigError, NumericalError, finite_number, keyed, positive_number,
+                     read_json_object)
 
 __all__ = [
     "RayleighSpec",
@@ -116,10 +117,8 @@ class ExcitationBounds:
     varpi: float   # max |friction force|, N
 
     def __post_init__(self):
-        object.__setattr__(self, "delta", finite_number("delta", self.delta))
+        object.__setattr__(self, "delta", positive_number("delta", self.delta))
         object.__setattr__(self, "varpi", finite_number("varpi", self.varpi))
-        if self.delta <= 0:
-            raise ConfigError(f"delta must be positive, got {self.delta}")
         if self.varpi < 0:
             raise ConfigError(f"varpi must be non-negative, got {self.varpi}")
 

@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (ConfigError, InfeasibleTuningError, NumericalError, finite_number, keyed,
-                     read_json_object)
-from .freqresp import (DEFAULT_BAND, DEFAULT_SAMPLES, band_peak, band_table, frequency_grid,
-                       transfer_batch, zero_rows)
+                     positive_number, read_json_object)
+from .freqresp import (DEFAULT_BAND, DEFAULT_SAMPLES, _band_edges, _sample_count, band_peak,
+                       band_table, transfer_batch, zero_rows)
 from .output import _cells, write_table
 from .smc import (BOUNDARY_LAYER, SWITCHING_MARGIN, DesignBatch, SlidingDesign, ackermann_rows,
                   design_batch, dominant_pair, real_pole, sliding_vectors, switching_gain)
@@ -45,9 +45,6 @@ KAPPA_NAMES = ("kappa1", "kappa2", "kappa3", "kappa_u")
 #: numbers per point at once (a 0.001 step over both fixture ranges is
 #: 401 x 501 = 200 901 points)
 MAX_GRID_POINTS = 250_000
-#: most frequency samples of the plotted grid of ``smctune freq``; kappa and
-#: chi are exact and do not depend on n_samples
-MAX_SAMPLES = 100_000
 
 _REAL_FIELDS = ("zeta_l", "zeta_u", "delta_zeta", "omega_nl", "omega_nu", "delta_omega",
                 "gamma1", "gamma2", "varsigma", "epsilon")
@@ -67,10 +64,7 @@ class KappaBounds:
 
     def __post_init__(self):
         for name in KAPPA_NAMES:
-            value = finite_number(f"{name} ceiling", getattr(self, name))
-            if value <= 0:
-                raise ConfigError(f"{name} ceiling must be positive")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, positive_number(f"{name} ceiling", getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -82,9 +76,8 @@ class TuningConfig:
     its real pole lambda3 by ``smc.real_pole``. n_samples sets only the
     plotted grid of ``smctune freq``; kappa and chi are exact.
     Every field is checked here, so a config that loads can be scanned: all
-    numbers finite, 0 < zeta_l < zeta_u < 1, 0 < omega_nl < omega_nu, a band
-    with 0 <= lower < upper, 2 <= n_samples <= MAX_SAMPLES, and at most
-    MAX_GRID_POINTS points.
+    numbers finite, 0 < zeta_l < zeta_u < 1, 0 < omega_nl < omega_nu, at most
+    MAX_GRID_POINTS points, and the band and n_samples by ``freqresp``'s rules.
     """
 
     kappa_bars: KappaBounds
@@ -107,18 +100,8 @@ class TuningConfig:
             raise ConfigError("kappa_bars must be a KappaBounds")
         for name in _REAL_FIELDS:
             object.__setattr__(self, name, finite_number(name, getattr(self, name)))
-        try:
-            lo, hi = self.band
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"band must be a pair (lower, upper), got {self.band!r}") from exc
-        band = (finite_number("band lower edge", lo), finite_number("band upper edge", hi))
-        frequency_grid(band, 2)     # checks the edges
-        object.__setattr__(self, "band", band)
-        n_samples = finite_number("n_samples", self.n_samples)
-        if n_samples != int(n_samples) or not 2 <= n_samples <= MAX_SAMPLES:
-            raise ConfigError(f"n_samples must be an integer in [2, {MAX_SAMPLES}], "
-                              f"got {self.n_samples}")
-        object.__setattr__(self, "n_samples", int(n_samples))
+        object.__setattr__(self, "band", _band_edges(self.band))
+        object.__setattr__(self, "n_samples", _sample_count(self.n_samples))
         if not self.zeta_l < self.zeta_u:
             raise ConfigError("zeta_l must be smaller than zeta_u")
         if not (0.0 < self.zeta_l and self.zeta_u < 1.0):

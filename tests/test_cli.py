@@ -77,6 +77,22 @@ def test_tune_index_override(tmp_path):
     assert result["M0"] == pytest.approx(12.05, rel=0.05)
 
 
+def test_tune_echoes_a_negative_zero_band_edge(tmp_path):
+    # the config keeps the checked edges themselves, so a -0.0 lower edge is
+    # written as given, not read back as 0.0 from a grid
+    raw = json.loads(fixture_path("quanser_tuning.json").read_text())
+    raw.update(band=[-0.0, 40.0 * math.pi], kappa_bars=dict.fromkeys(raw["kappa_bars"], 1e6))
+    tuning = tmp_path / "tuning.json"
+    tuning.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["tune", "--config", "quanser.json", "--tuning", str(tuning),
+                 "--out", str(out)]) == 0
+    text = (out / "result.json").read_text()
+    assert f'"band": [\n      -0.0,\n      {40.0 * math.pi!r}\n    ]' in text
+    lower, upper = json.loads(text)["config"]["band"]
+    assert math.copysign(1.0, lower) == -1.0 and upper == 40.0 * math.pi
+
+
 def test_tune_infeasible_exit_3(tmp_path, capsys):
     tuning = tmp_path / "t.json"
     tuning.write_text(json.dumps({

@@ -267,15 +267,35 @@ def test_degenerate_eta_reports_infeasible(tmp_path, table1_design):
     assert not (tmp_path / "freq.csv").exists()
 
 
-def test_band_validation():
+def test_band_validation(tmp_path, table1_design):
+    # every public entry checks its own band, grid size and delta: a NaN or
+    # inf delta would give a NaN or inf kappa and chi, an inf edge a NaN
     batch = _constant_batch(1.0)
+    deltas = (0.0, float("nan"), float("inf"), "1.0")
+    bands = ((10.0, 1.0), (1.0, float("inf")), (float("-inf"), 1.0), (float("nan"), 1.0),
+             (1.0,), (1.0, 2.0, 3.0), 5.0, ("1", "2"))
+    sample_counts = (1, 2.7, float("nan"), st.freqresp.MAX_SAMPLES + 1, "64", True)
     for metric in (band_table, band_peak):
-        with pytest.raises(ConfigError):
-            metric(batch, delta=0.0)
-        with pytest.raises(ConfigError):
-            metric(batch, delta=1.0, band=(10.0, 1.0))
-    with pytest.raises(ConfigError):
-        st.frequency_grid(n_samples=1)
+        for delta in deltas:
+            with pytest.raises(ConfigError, match="delta"):
+                metric(batch, delta=delta)
+        for band in bands:
+            with pytest.raises(ConfigError, match="band"):
+                metric(batch, delta=1.0, band=band)
+    for band in bands:
+        with pytest.raises(ConfigError, match="band"):
+            st.frequency_grid(band)
+    for n_samples in sample_counts:
+        with pytest.raises(ConfigError, match="n_samples"):
+            st.frequency_grid(n_samples=n_samples)
+    path = tmp_path / "freq.csv"
+    for key, values in (("delta", deltas), ("band", bands), ("n_samples", sample_counts)):
+        for value in values:
+            with pytest.raises(ConfigError, match=key):
+                st.dump_frequency_response(table1_design, **{"delta": 1.0, key: value},
+                                           path=path)
+    assert not path.exists()
+    assert len(st.frequency_grid(n_samples=st.freqresp.MAX_SAMPLES)) == st.freqresp.MAX_SAMPLES
 
 
 def test_frequency_dump(tmp_path, table1_design, five_story):

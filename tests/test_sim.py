@@ -401,6 +401,26 @@ def test_accelerogram_interval_must_be_a_finite_number(dt):
         st.Accelerogram(dt=dt, samples=np.zeros(3))
 
 
+@pytest.mark.parametrize("samples", [np.zeros(0), [], np.zeros((3, 2)), 0.5,
+                                     np.array(["0.1", "0.2"]), ["0.1", "0.2"],
+                                     [[0.0], [0.0, 1.0]], np.array([True, False]),
+                                     np.ones(2, dtype=complex)],
+                         ids=["empty", "empty-list", "2-d", "scalar", "strings",
+                              "string-list", "ragged", "bool", "complex"])
+def test_accelerogram_samples_must_be_a_1d_array_of_numbers(samples):
+    # an empty record has no pga, and a 3x2 array would read as a 0.002 s
+    # record that np.interp then refuses
+    with pytest.raises(ConfigError, match="accelerogram samples"):
+        st.Accelerogram(dt=0.001, samples=samples)
+
+
+def test_accelerogram_keeps_a_float64_record_and_converts_integers():
+    samples = np.linspace(0.0, 1.0, 11)
+    assert st.Accelerogram(dt=0.001, samples=samples).samples is samples
+    record = st.Accelerogram(dt=0.001, samples=[0, 2, -1])
+    assert record.samples.dtype == np.float64 and record.pga == 2.0
+
+
 def test_load_accelerogram_rejects_non_finite_scale():
     with pytest.raises(ConfigError):
         st.load_accelerogram(fixture_path("synthetic_quake.csv"), scale=float("nan"))
@@ -423,10 +443,14 @@ def test_trace_csv_matches_per_cell_writer(tmp_path):
 
 
 @pytest.mark.parametrize("kwargs", [{"duration": 1e6, "dt": 1e-3}, {"duration": float("nan")},
-                                    {"dt": 0.0}, {"duration": -1.0}],
-                         ids=["too-long", "nan-duration", "zero-dt", "negative-duration"])
+                                    {"dt": 0.0}, {"duration": -1.0}, {"seed": 1.5},
+                                    {"seed": "x"}, {"seed": -1}, {"seed": True}, {"seed": None}],
+                         ids=["too-long", "nan-duration", "zero-dt", "negative-duration",
+                              "float-seed", "string-seed", "negative-seed", "bool-seed",
+                              "no-seed"])
 def test_synthetic_accelerogram_inputs_rejected(refuse_huge_arange, kwargs):
-    # 1e6 s at 1 ms would be 1e9 samples
+    # 1e6 s at 1 ms would be 1e9 samples; the record is deterministic, so a
+    # seed is a non-negative integer (None would draw fresh entropy)
     with pytest.raises(ConfigError):
         st.synthetic_accelerogram(**kwargs)
 
@@ -496,6 +520,9 @@ def test_rk4_map_equals_its_scalar_rebuild(request, building):
         N, W = st.sim.rk4_map(plant.A, plant.B, plant.D, dt)
         hand_N, hand_W = _rk4_map_by_hand(plant.A, plant.B, plant.D, dt)
         assert N.tolist() == hand_N and W.tolist() == hand_W
+    for dt in (0.0, -1e-3, float("nan"), float("inf"), "1e-3"):
+        with pytest.raises(ConfigError, match="dt"):
+            st.sim.rk4_map(plant.A, plant.B, plant.D, dt)
 
 
 @pytest.mark.parametrize("building", ["five_story", "quanser"])
