@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import islice
 from numbers import Real
 from pathlib import Path
 
 __all__ = ["ConfigError", "NumericalError", "InfeasibleTuningError", "finite_number",
-           "positive_number", "read_text", "read_json_object", "keyed"]
+           "positive_number", "nonnegative_number", "finite_numbers", "read_text",
+           "read_json_object", "keyed"]
 
 
 class ConfigError(ValueError):
@@ -36,7 +38,10 @@ def finite_number(name: str, value) -> float:
     """
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    number = float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} must be finite, got a number too large for a float") from None
     if not math.isfinite(number):
         raise ConfigError(f"{name} must be finite, got {number}")
     return number
@@ -48,6 +53,27 @@ def positive_number(name: str, value) -> float:
     if number <= 0:
         raise ConfigError(f"{name} must be positive, got {number}")
     return number
+
+
+def nonnegative_number(name: str, value) -> float:
+    """``finite_number(name, value)``, or ConfigError unless it is at least zero."""
+    number = finite_number(name, value)
+    if number < 0:
+        raise ConfigError(f"{name} must be non-negative, got {number}")
+    return number
+
+
+def finite_numbers(names, value) -> tuple[float, ...]:
+    """``value`` as a tuple of floats, entry i by ``finite_number(names[i], ...)``; ConfigError
+    unless it is an iterable of exactly ``len(names)`` entries (at most one more is read)."""
+    try:
+        entries = list(islice(value, len(names) + 1))
+    except TypeError:  # not iterable
+        entries = []
+    if len(entries) != len(names):
+        raise ConfigError(f"expected {len(names)} numbers ({', '.join(dict.fromkeys(names))}), "
+                          f"got {value!r}")
+    return tuple(finite_number(name, entry) for name, entry in zip(names, entries))
 
 
 def read_text(path) -> str:
@@ -67,8 +93,9 @@ def read_text(path) -> str:
 
 def read_json_object(path) -> dict:
     """The JSON object in the file at ``path``; ConfigError for an unreadable
-    file, malformed or too deeply nested JSON, a key repeated within one
-    object at any level, or a top level that is not an object."""
+    file, malformed or too deeply nested JSON or an int past its digit limit,
+    a key repeated within one object at any level, or a top level that is
+    not an object."""
     text = read_text(path)
 
     def unique(pairs):
@@ -84,6 +111,10 @@ def read_json_object(path) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
                           f"{exc.msg}") from exc
+    except ConfigError:  # a repeated key, from unique
+        raise
+    except ValueError as exc:  # an integer past Python's int digit limit
+        raise ConfigError(f"{path}: invalid JSON number: {str(exc).partition(';')[0]}") from exc
     except RecursionError as exc:
         raise ConfigError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(value, dict):

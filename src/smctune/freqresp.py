@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, finite_number, positive_number
+from .errors import ConfigError, NumericalError, finite_number, finite_numbers, positive_number
 from .output import write_table
 from .smc import DesignBatch, SlidingDesign, dominant_pair, rowdot, sliding_polynomial
 
@@ -102,11 +102,7 @@ def _band_edges(band) -> tuple[float, float]:
     """The edges (lower, upper) of ``band`` as floats (a -0.0 stays -0.0), or
     ConfigError unless they are finite with 0 <= lower < upper. |H(j omega)|
     is even in omega, so a negative lower edge is refused."""
-    try:
-        lo, hi = band
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"band must be a pair (lower, upper), got {band!r}") from exc
-    edges = (finite_number("band lower edge", lo), finite_number("band upper edge", hi))
+    edges = finite_numbers(("band lower edge", "band upper edge"), band)
     if not 0.0 <= edges[0] < edges[1]:
         raise ConfigError(f"band must satisfy 0 <= lower < upper, got {edges}")
     return edges

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, finite_number
+from .errors import ConfigError, NumericalError, finite_number, positive_number
 from .structure import PlantStateSpace
 
 __all__ = [
@@ -127,9 +127,7 @@ def solve_riccati(A, B, Q, r) -> LqrResult:
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(B, dtype=float).reshape(-1)
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    r = float(r)
-    if r <= 0:
-        raise ConfigError(f"control weight r must be positive, got {r}")
+    r = positive_number("control weight r", r)
     n = len(A)
     if A.shape != (n, n) or b.shape != (n,) or Q.shape != (n, n):
         raise ConfigError(f"Riccati solve needs A and Q n x n and B of length n, got "

@@ -22,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, finite_number, positive_number, read_text
+from .errors import (ConfigError, NumericalError, finite_number, finite_numbers, nonnegative_number,
+                     positive_number, read_text)
 from .output import write_table
 from .smc import SlidingDesign
 from .structure import PlantStateSpace
@@ -236,16 +237,9 @@ class FeedbackLaw:
     label: str = ""
 
     def __post_init__(self):
-        try:
-            gain = tuple(finite_number("feedback gain entry", g) for g in self.gain)
-        except TypeError:  # not iterable
-            gain = ()
-        if len(gain) != 4:
-            raise ConfigError(f"feedback gain must be 4 finite numbers, got {self.gain!r}")
-        object.__setattr__(self, "gain", gain)
+        object.__setattr__(self, "gain", finite_numbers(("feedback gain entry",) * 4, self.gain))
         if self.relay is not None:
-            M0, epsilon = self.relay
-            relay = (finite_number("relay M0", M0), finite_number("relay epsilon", epsilon))
+            relay = finite_numbers(("relay M0", "relay epsilon"), self.relay)
             if not (relay[0] > 0.0 and relay[1] > 0.0):
                 raise ConfigError(f"relay needs M0 > 0 and epsilon > 0, got {relay}")
             object.__setattr__(self, "relay", relay)
@@ -371,11 +365,9 @@ def simulate(plant: PlantStateSpace, controller: FeedbackLaw, quake: Accelerogra
         raise ConfigError(f"unknown controller type {type(controller).__name__}")
     dt = quake.dt if dt is None else positive_number("dt", dt)
     t_end = positive_number("t_end", t_end)
-    mu_d = finite_number("mu_d", mu_d)
+    mu_d = nonnegative_number("mu_d", mu_d)
     if t_end > quake.duration + 1e-12:
         raise ConfigError(f"t_end={t_end} s exceeds the record length {quake.duration} s")
-    if mu_d < 0:
-        raise ConfigError("mu_d must be non-negative")
     steps = t_end / dt
     if not steps <= MAX_RECORD_SAMPLES:  # also inf
         raise ConfigError(f"t_end / dt = {steps:g} steps exceeds the limit of "
@@ -388,12 +380,7 @@ def simulate(plant: PlantStateSpace, controller: FeedbackLaw, quake: Accelerogra
         raise ConfigError(f"t_end={t_end} s at dt={dt} s runs to {n * dt} s, past the record's "
                           f"end at {quake.duration} s; the longest t_end that fits is {fit * dt} s")
 
-    try:
-        z = [0.0] * 4 if z0 is None else [finite_number("z0 entry", v) for v in z0]
-    except TypeError:  # not iterable
-        z = []
-    if len(z) != 4:
-        raise ConfigError(f"z0 must be 4 finite numbers, got {z0!r}")
+    z = (0.0,) * 4 if z0 is None else finite_numbers(("z0 entry",) * 4, z0)
     relay = controller.relay is not None
     if relay:
         _check_boundary_layer(plant, controller, dt)
@@ -475,8 +462,8 @@ def summarize(trace: SimulationTrace, window: tuple[float, float] | None = None)
     decay_violations (those outside, the last sample excepted, whose
     sigma*dsigma >= 0 to the next) and max_abs_sigma."""
     t = trace.t
-    a, b = (t[0], t[-1]) if window is None else window   # None: the whole run
-    a, b = finite_number("window lower bound", a), finite_number("window upper bound", b)
+    a, b = finite_numbers(("window lower bound", "window upper bound"),
+                          (t[0], t[-1]) if window is None else window)   # None: the whole run
     if b < a:
         raise ConfigError(f"window upper bound {b} is below lower bound {a}")
     mask = (t >= a - 1e-12) & (t <= b + 1e-12)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, finite_number, positive_number
+from .errors import ConfigError, NumericalError, finite_number, nonnegative_number, positive_number
 from .structure import PlantStateSpace, controllability_matrix
 
 __all__ = [
@@ -277,13 +277,10 @@ def switching_gain(chi: float, varpi: float, varsigma: float = SWITCHING_MARGIN)
 
     chi bounds the equivalent control over the excitation band, varpi the
     friction, and varsigma > 0 provides the strict margin that guarantees
-    finite-time reaching. Each must be a finite number, or ConfigError.
+    finite-time reaching. Each must be finite (chi, varpi >= 0), or ConfigError.
     """
-    chi, varpi = finite_number("chi", chi), finite_number("varpi", varpi)
-    varsigma = positive_number("varsigma", varsigma)
-    if chi < 0 or varpi < 0:
-        raise ConfigError("chi and varpi must be non-negative")
-    return varpi + chi + varsigma
+    chi, varpi = nonnegative_number("chi", chi), nonnegative_number("varpi", varpi)
+    return varpi + chi + positive_number("varsigma", varsigma)
 
 
 def design_sliding_controller(plant: PlantStateSpace, zeta: float, omega_n: float,

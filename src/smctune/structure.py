@@ -7,12 +7,13 @@ velocities.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, NumericalError, finite_number, keyed, positive_number,
-                     read_json_object)
+from .errors import (ConfigError, NumericalError, finite_number, finite_numbers, keyed,
+                     nonnegative_number, positive_number, read_json_object)
 
 __all__ = [
     "RayleighSpec",
@@ -58,12 +59,12 @@ class RayleighSpec:
     pairs: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        if len(self.pairs) not in (1, 2):
+        given = tuple(self.pairs) if isinstance(self.pairs, Iterable) else ()
+        if len(given) not in (1, 2):
             raise ConfigError("Rayleigh damping needs one or two (mode, ratio) pairs")
         pairs = []
-        for mode, ratio in self.pairs:
-            mode = finite_number("Rayleigh mode index", mode)
-            ratio = finite_number("Rayleigh damping ratio", ratio)
+        for pair in given:
+            mode, ratio = finite_numbers(("Rayleigh mode index", "Rayleigh damping ratio"), pair)
             if int(mode) != mode or mode < 1:
                 raise ConfigError(f"mode index must be a positive integer, got {mode}")
             if not 0.0 < ratio < 1.0:
@@ -100,13 +101,9 @@ class AtmdParams:
     mu_d: float = 0.0  # Coulomb friction level, N
 
     def __post_init__(self):
-        for name in ("m_d", "k_d", "c_d", "mu_d"):
-            object.__setattr__(self, name, finite_number(name, getattr(self, name)))
-        if self.m_d <= 0:
-            raise ConfigError(f"damper mass must be positive, got {self.m_d}")
+        object.__setattr__(self, "m_d", positive_number("m_d", self.m_d))
         for name in ("k_d", "c_d", "mu_d"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
+            object.__setattr__(self, name, nonnegative_number(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -118,9 +115,7 @@ class ExcitationBounds:
 
     def __post_init__(self):
         object.__setattr__(self, "delta", positive_number("delta", self.delta))
-        object.__setattr__(self, "varpi", finite_number("varpi", self.varpi))
-        if self.varpi < 0:
-            raise ConfigError(f"varpi must be non-negative, got {self.varpi}")
+        object.__setattr__(self, "varpi", nonnegative_number("varpi", self.varpi))
 
 
 @dataclass(frozen=True)
@@ -239,7 +234,7 @@ def rayleigh_damping(M, K, frequencies, mode_pairs) -> np.ndarray:
     a single pair only the mass-proportional term is used: C = 2*zeta*w*M.
     The pairs follow the rules of RayleighSpec, and each mode must exist.
     """
-    pairs = RayleighSpec(tuple(mode_pairs)).pairs
+    pairs = RayleighSpec(mode_pairs).pairs
     M = np.asarray(M, dtype=float)
     K = np.asarray(K, dtype=float)
     freqs = np.asarray(frequencies, dtype=float)

@@ -98,8 +98,9 @@ class TuningConfig:
     def __post_init__(self):
         if not isinstance(self.kappa_bars, KappaBounds):
             raise ConfigError("kappa_bars must be a KappaBounds")
-        for name in _REAL_FIELDS:
-            object.__setattr__(self, name, finite_number(name, getattr(self, name)))
+        for name in _REAL_FIELDS:   # > 0 except zeta_l, zeta_u and omega_nu
+            check = finite_number if name in ("zeta_l", "zeta_u", "omega_nu") else positive_number
+            object.__setattr__(self, name, check(name, getattr(self, name)))
         object.__setattr__(self, "band", _band_edges(self.band))
         object.__setattr__(self, "n_samples", _sample_count(self.n_samples))
         if not self.zeta_l < self.zeta_u:
@@ -109,16 +110,8 @@ class TuningConfig:
                               f"[{self.zeta_l}, {self.zeta_u}]")
         if not self.omega_nl < self.omega_nu:
             raise ConfigError("omega_nl must be smaller than omega_nu")
-        if not self.omega_nl > 0.0:
-            raise ConfigError(f"omega_nl must be positive, got {self.omega_nl}")
-        if self.delta_zeta <= 0 or self.delta_omega <= 0:
-            raise ConfigError("grid increments must be positive")
-        if self.gamma1 <= 0 or self.gamma2 <= 0:
-            raise ConfigError("gamma factors must be positive")
         if self.index not in INDEX_CHOICES:
             raise ConfigError(f"index must be one of {INDEX_CHOICES}, got {self.index!r}")
-        if self.varsigma <= 0 or self.epsilon <= 0:
-            raise ConfigError("varsigma and epsilon must be positive")
         points = (_axis_count(self.zeta_l, self.zeta_u, self.delta_zeta)
                   * _axis_count(self.omega_nl, self.omega_nu, self.delta_omega))
         if points > MAX_GRID_POINTS:

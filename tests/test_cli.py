@@ -451,6 +451,28 @@ def test_tune_nan_kappa_ceiling_exits_2(tmp_path, capsys):
     assert "kappa2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("digits, message", [
+    (400, "zeta_l must be finite, got a number too large for a float"),
+    # Python before 3.10.7 has no int digit limit and reads it like 400 digits
+    (5000, "{path}: invalid JSON number: Exceeds the limit"
+     if hasattr(sys, "set_int_max_str_digits")
+     else "zeta_l must be finite, got a number too large for a float"),
+])
+def test_tune_integer_too_long_exits_2(tmp_path, capsys, digits, message):
+    # json reads 400 digits as an int too large for a float; past Python's
+    # int digit limit json.loads itself refuses the number
+    text = fixture_path("quanser_tuning.json").read_text()
+    assert text.count('"zeta_l": 0.5') == 1
+    path = tmp_path / "huge.json"
+    path.write_text(text.replace('"zeta_l": 0.5', '"zeta_l": 1' + "0" * digits))
+    out = tmp_path / "out"
+    rc = main(["tune", "--config", "quanser.json", "--tuning", str(path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message.format(path=path) in err and len(err) < 400
+    assert not out.exists()
+
+
 def test_building_nan_delta_exits_2(tmp_path):
     from smctune.fixtures import fixture_path
     raw = json.loads(fixture_path("quanser.json").read_text())
@@ -521,6 +543,9 @@ def test_simulate_record_too_long_exits_2(tmp_path, capsys, refuse_huge_arange):
     ("quanser.json", ("damping", "matrix", 0, 0), float("nan"), "damping.matrix entry"),
     ("five_story.json", ("damping", "rayleigh", "ratios", 1), "0.01", "damping ratio"),
     ("five_story.json", ("participation_factor",), float("nan"), "participation_factor"),
+    pytest.param("quanser.json", ("atmd", "mass"), 10**400,
+                 "atmd mass must be finite, got a number too large for a float",
+                 id="quanser.json-path8-10**400-atmd mass"),
 ])
 def test_building_non_finite_or_string_field_exits_2(tmp_path, capsys, fixture, path, value,
                                                      message):

@@ -114,6 +114,14 @@ def test_mismatched_shapes_rejected():
         st.solve_riccati(np.eye(3), np.ones(3), np.eye(2), 1.0)
 
 
+@pytest.mark.parametrize("r", [float("nan"), float("inf"), "2", True])
+def test_control_weight_must_be_a_finite_number(r):
+    # NaN and inf used to fail as a NumericalError in the solve, and "2" and
+    # True were converted to 2.0 and 1.0
+    with pytest.raises(ConfigError, match="control weight r must be"):
+        st.solve_riccati(np.eye(1), np.ones(1), np.eye(1), r)
+
+
 def test_ackermann_cross_check(quanser, quanser_lqr):
     # single-input gains are unique for a given spectrum: re-placing the
     # optimal closed-loop poles must reproduce the optimal gain

@@ -123,6 +123,15 @@ def test_summarize_rejects_a_non_finite_window(window):
         st.summarize(trace, window)
 
 
+@pytest.mark.parametrize("window", [(1.0,), 1.0, "0,1"])
+def test_summarize_rejects_a_window_that_is_not_a_pair(window):
+    # each used to leak a bare ValueError or TypeError from the unpacking
+    trace = st.SimulationTrace(t=np.array([0.0, 1.0]), z=np.zeros((2, 4)), u=np.zeros(2),
+                               sigma=np.zeros(2), xg=np.zeros(2))
+    with pytest.raises(ConfigError, match=r"2 numbers \(window lower bound, window upper bound\)"):
+        st.summarize(trace, window)
+
+
 def test_summarize_hand_values():
     t = np.array([0.0, 1.0, 2.0])
     z = np.zeros((3, 4))
@@ -294,6 +303,13 @@ def test_smc_controller_rejects_bad_relay(tune_five_jz2, relay):
         st.FeedbackLaw(design.eta, (design.M0, design.epsilon))
 
 
+@pytest.mark.parametrize("relay", [5.0, (1.0, 2.0, 3.0)])
+def test_feedback_law_rejects_a_relay_that_is_not_a_pair(relay):
+    # each used to leak a bare TypeError or ValueError from the unpacking
+    with pytest.raises(ConfigError, match="relay"):
+        st.FeedbackLaw((0.0, 0.0, 0.0, 1.0), relay)
+
+
 def test_feedback_law_built_directly_runs(five_story, tune_five_jz2, quake):
     _, _, plant = five_story
     design = tune_five_jz2.result.design
@@ -356,6 +372,8 @@ def test_unknown_controller_type_rejected(five_story, tune_five_jz2, quake):
         st.LqrControl(np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ConfigError):
         st.LqrControl(np.array([1.0, 2.0, float("nan"), 3.0]))
+    with pytest.raises(ConfigError, match="feedback gain entry must be finite"):
+        st.FeedbackLaw((10**400, 0.0, 0.0, 0.0))   # too large for a float
 
 
 @pytest.mark.parametrize("kwargs", [{"dt": float("nan")}, {"dt": float("inf")},

@@ -263,7 +263,8 @@ def test_overflowing_modes_are_a_numerical_error():
 
 @pytest.mark.parametrize("pairs", [((1, 1.5),), ((1, 0.0),), ((1, 0.01), (1, 0.02)),
                                    ((0, 0.01),), ((1.5, 0.01),), (),
-                                   ((1, 0.01), (2, 0.01), (3, 0.01))])
+                                   ((1, 0.01), (2, 0.01), (3, 0.01)),
+                                   ((1,),), 5, ((1, 0.02, 3),)])
 def test_rayleigh_damping_checks_pairs_as_rayleigh_spec(pairs):
     M, K = np.diag([2.0, 3.0, 4.0]), np.diag([30.0, 20.0, 10.0])
     with pytest.raises(ConfigError):
@@ -280,7 +281,8 @@ def test_excitation_bounds_must_be_finite(delta, varpi):
 
 
 @pytest.mark.parametrize("field", ["m_d", "k_d", "c_d", "mu_d"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), "1.0"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "1.0",
+                                   pytest.param(10**400, id="10**400")])
 def test_atmd_params_must_be_finite_numbers(field, value):
     kwargs = {"m_d": 1.0, "k_d": 1.0, "c_d": 1.0, "mu_d": 0.1, field: value}
     with pytest.raises(ConfigError, match=field):
