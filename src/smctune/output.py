@@ -160,12 +160,17 @@ def _csv_rows(table) -> bytes:
     head = np.where(big, vp // _U64(1000), vp // _U64(100))
     short = vp - head * np.where(big, _U64(1000), _U64(100)) < gap
     r = 1 + big + short
-    for k in (16, 8, 4, 2, 1):
-        tens = head // _POW10[k]
-        zeros = short & (tens * _POW10[k] == head)
-        head = np.where(zeros, tens, head)
-        r += k * zeros
-    del vp, gap, big, head, short, tens, zeros
+    del vp, gap, big
+    # only a head that ends in a zero digit has trailing zeros to count
+    ten = np.flatnonzero(short & (head // _U64(10) * _U64(10) == head))
+    if len(ten):
+        head = head[ten]
+        for k in (16, 8, 4, 2, 1):
+            tens = head // _POW10[k]
+            zeros = tens * _POW10[k] == head
+            head = np.where(zeros, tens, head)
+            r[ten] += k * zeros
+    del head, short
     # the digits: vr without its last r digits, rounded to nearest on them,
     # or up when the result would be vm's and so outside (vm, vp]
     scale = _POW10[r]
@@ -196,7 +201,7 @@ def _csv_rows(table) -> bytes:
         tens = halves // np.uint32(10)
         column[:, :, slot] = halves - tens * np.uint32(10)
         halves = tens
-    grid = _TEMPLATE[key]
+    grid = _TEMPLATE.take(key, axis=0)
     grid[:, 6:24] |= column.reshape(len(cells), 18)
     grid.reshape(len(table), -1, _WIDTH)[:, -1, -1] = ord("\n")
     text = grid.tobytes().translate(None, b"\0")

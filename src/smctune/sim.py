@@ -7,9 +7,11 @@ evaluated inside every stage, and the ground acceleration is interpolated
 linearly at the half-step times. With each stage's force held, one step is an
 affine map of the state, the four stage forces and the three excitation
 samples; ``rk4_map`` gives its coefficients, and ``simulate`` builds them once
-per run and applies them at every step. A record read from CSV is resampled to
-RESAMPLE_DT and labelled with its file's stem; ``simulate(dt=...)`` sets the
-step of a run.
+per run and applies them at every step. While friction keeps its sign through
+a step, the four stage forces are one number, and the step applies it once,
+through the sum of the map's four force columns. A record read from CSV is
+resampled to RESAMPLE_DT and labelled with its file's stem;
+``simulate(dt=...)`` sets the step of a run.
 """
 from __future__ import annotations
 
@@ -286,7 +288,8 @@ def rk4_map(A, B, D, dt: float) -> tuple[np.ndarray, np.ndarray]:
     W (3, 11) maps v to z3 of the stage-s state, s = 2, 3, 4, from which
     that stage's friction sign is taken. The homogeneous part N[:, :4] is
     Phi = sum_{k<=4} (A dt)^k / k!, and the sum of the four f columns is
-    Gamma = dt sum_{k<=3} (A dt)^k / (k + 1)! B.
+    Gamma = dt sum_{k<=3} (A dt)^k / (k + 1)! B, the map of a step whose four
+    stage forces are one number.
 
     The stages are pushed through on the coefficients exactly as the step
     runs them, with elementwise products and every row of A y summed as
@@ -317,12 +320,17 @@ def rk4_map(A, B, D, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return N, np.array([y2[2], y3[2], y4[2]])
 
 
+def _gamma(N: np.ndarray) -> np.ndarray:
+    """Gamma of an ``rk4_map`` N: its four force columns summed left to right,
+    the next state's response to one force held through all four stages."""
+    return N[:, 4] + N[:, 5] + N[:, 6] + N[:, 7]
+
+
 def _in_layer_radius(plant: PlantStateSpace, controller: FeedbackLaw, dt: float) -> float:
     """Spectral radius of the sampled in-layer loop Phi - Gamma (M0/epsilon) eta^T."""
     N, _ = rk4_map(plant.A, plant.B, plant.D, dt)
     M0, epsilon = controller.relay
-    gamma = N[:, 4] + N[:, 5] + N[:, 6] + N[:, 7]
-    loop = N[:, :4] - (M0 / epsilon) * np.outer(gamma, controller.gain)
+    loop = N[:, :4] - (M0 / epsilon) * np.outer(_gamma(N), controller.gain)
     return float(np.max(np.abs(np.linalg.eigvals(loop))))
 
 
@@ -357,9 +365,13 @@ def simulate(plant: PlantStateSpace, controller: FeedbackLaw, quake: Accelerogra
     boundary layer is unstable at ``dt`` once sampled is refused with
     ``ConfigError``. Each step applies the coefficients of ``rk4_map``, built
     once per run: the friction sign of each stage is read from that stage's
-    z3, so friction is evaluated in all four stages. The step runs on
-    Python floats, with every sum in a fixed order, so repeated runs are
-    bit-identical.
+    z3, so friction is evaluated in all four stages. When the four stage
+    forces are equal as floats (always with ``mu_d = 0``), the step takes
+    Phi z + Gamma f1 + the excitation terms, and the stage-3 and -4 z3 rows
+    use their force coefficients summed once the earlier forces are equal;
+    only a step in which friction changes sign applies the four forces
+    column by column. The step runs on Python floats, with every sum in a
+    fixed order, so repeated runs are bit-identical.
     """
     if not isinstance(controller, FeedbackLaw):
         raise ConfigError(f"unknown controller type {type(controller).__name__}")
@@ -389,27 +401,29 @@ def simulate(plant: PlantStateSpace, controller: FeedbackLaw, quake: Accelerogra
     t_half = 0.5 * dt * np.arange(2 * n + 1)
     xg_half = np.interp(t_half, quake.time(), quake.samples)
 
-    Z = np.empty((n + 1, 4))
+    Z = np.empty((4, n + 1))   # by channel, so a step stores at index i; the trace holds Z.T
     U = np.empty(n + 1)
     S = np.zeros(n + 1)
-    zv, uv, sv = (memoryview(a) for a in (Z.reshape(-1), U, S))
+    z0v, z1v, z2v, z3v, uv, sv = (memoryview(a) for a in (*Z, U, S))
 
     N, W = rk4_map(plant.A, plant.B, plant.D, dt)
     (p00, p01, p02, p03, q00, q01, q02, q03), (p10, p11, p12, p13, q10, q11, q12, q13), \
         (p20, p21, p22, p23, q20, q21, q22, q23), (p30, p31, p32, p33, q30, q31, q32, q33) \
         = N[:, :8].tolist()
+    G0, G1, G2, G3 = _gamma(N).tolist()
     w20, w21, w22, w23, w2a = W[0, :5].tolist()
     w30, w31, w32, w33, w3a, w3b = W[1, :6].tolist()
     w40, w41, w42, w43, w4a, w4b, w4c = W[2, :7].tolist()
+    w3s, w4s = w3a + w3b, (w4a + w4b) + w4c   # the z3 rows under one force
     # the excitation terms of the 3 stage z3 rows and the 4 next-state rows
     X = np.concatenate([W[:, 8:], N[:, 8:]])[:, :, None]
     g0, g1, g2, g3 = controller.gain
     M0, eps = controller.relay if relay else (0.0, 1.0)  # read only with a relay
 
     y0, y1, y2, y3 = z
-    zv[0], zv[1], zv[2], zv[3] = y0, y1, y2, y3
     start = stop = 0
     for i in range(n + 1):
+        z0v[i], z1v[i], z2v[i], z3v[i] = y0, y1, y2, y3
         s = (g0 * y0 + g2 * y2) + (g1 * y1 + g3 * y3)
         if relay:  # saturated relay: -M0 sign(s), ramp -M0 s / eps inside |s| <= eps
             u = -M0 if s > eps else (M0 if s < -eps else -M0 * s / eps)
@@ -422,35 +436,45 @@ def simulate(plant: PlantStateSpace, controller: FeedbackLaw, quake: Accelerogra
         if i == stop:  # excitation terms of the next STEP_BLOCK steps
             start, stop = i, min(i + STEP_BLOCK, n)
             x = xg_half[2 * start:2 * stop + 1]
-            rows = ((X[:, 0] * x[0:-1:2] + X[:, 1] * x[1::2])
-                    + X[:, 2] * x[2::2]).T.tolist()
+            with np.errstate(over="ignore", invalid="ignore"):  # the state check reports it
+                rows = ((X[:, 0] * x[0:-1:2] + X[:, 1] * x[1::2])
+                        + X[:, 2] * x[2::2]).T.tolist()
         h2, h3, h4, r0, r1, r2, r3 = rows[i - start]
-        # friction force of each stage: u - mu_d sign(stage z3), sign(0) = 0
+        # friction force of each stage: u - mu_d sign(stage z3), sign(0) = 0;
+        # while the stages agree, their forces are one number f1
         f1 = u - mu_d if y2 > 0.0 else (u + mu_d if y2 < 0.0 else u)
         c = ((w20 * y0 + w22 * y2) + (w21 * y1 + w23 * y3)) + w2a * f1 + h2
         f2 = u - mu_d if c > 0.0 else (u + mu_d if c < 0.0 else u)
-        c = ((w30 * y0 + w32 * y2) + (w31 * y1 + w33 * y3)) + (w3a * f1 + w3b * f2) + h3
+        one = f2 == f1
+        c = (((w30 * y0 + w32 * y2) + (w31 * y1 + w33 * y3))
+             + (w3s * f1 if one else w3a * f1 + w3b * f2) + h3)
         f3 = u - mu_d if c > 0.0 else (u + mu_d if c < 0.0 else u)
+        one = one and f3 == f1
         c = (((w40 * y0 + w42 * y2) + (w41 * y1 + w43 * y3))
-             + ((w4a * f1 + w4b * f2) + w4c * f3) + h4)
+             + (w4s * f1 if one else (w4a * f1 + w4b * f2) + w4c * f3) + h4)
         f4 = u - mu_d if c > 0.0 else (u + mu_d if c < 0.0 else u)
-        y0, y1, y2, y3 = (
-            ((p00 * y0 + p02 * y2) + (p01 * y1 + p03 * y3))
-            + ((q00 * f1 + q01 * f2) + (q02 * f3 + q03 * f4)) + r0,
-            ((p10 * y0 + p12 * y2) + (p11 * y1 + p13 * y3))
-            + ((q10 * f1 + q11 * f2) + (q12 * f3 + q13 * f4)) + r1,
-            ((p20 * y0 + p22 * y2) + (p21 * y1 + p23 * y3))
-            + ((q20 * f1 + q21 * f2) + (q22 * f3 + q23 * f4)) + r2,
-            ((p30 * y0 + p32 * y2) + (p31 * y1 + p33 * y3))
-            + ((q30 * f1 + q31 * f2) + (q32 * f3 + q33 * f4)) + r3)
-        j = 4 * i + 4
-        zv[j], zv[j + 1], zv[j + 2], zv[j + 3] = y0, y1, y2, y3
+        if one and f4 == f1:
+            y0, y1, y2, y3 = (
+                ((p00 * y0 + p02 * y2) + (p01 * y1 + p03 * y3)) + G0 * f1 + r0,
+                ((p10 * y0 + p12 * y2) + (p11 * y1 + p13 * y3)) + G1 * f1 + r1,
+                ((p20 * y0 + p22 * y2) + (p21 * y1 + p23 * y3)) + G2 * f1 + r2,
+                ((p30 * y0 + p32 * y2) + (p31 * y1 + p33 * y3)) + G3 * f1 + r3)
+        else:  # friction changes sign inside the step
+            y0, y1, y2, y3 = (
+                ((p00 * y0 + p02 * y2) + (p01 * y1 + p03 * y3))
+                + ((q00 * f1 + q01 * f2) + (q02 * f3 + q03 * f4)) + r0,
+                ((p10 * y0 + p12 * y2) + (p11 * y1 + p13 * y3))
+                + ((q10 * f1 + q11 * f2) + (q12 * f3 + q13 * f4)) + r1,
+                ((p20 * y0 + p22 * y2) + (p21 * y1 + p23 * y3))
+                + ((q20 * f1 + q21 * f2) + (q22 * f3 + q23 * f4)) + r2,
+                ((p30 * y0 + p32 * y2) + (p31 * y1 + p33 * y3))
+                + ((q30 * f1 + q31 * f2) + (q32 * f3 + q33 * f4)) + r3)
 
-    diverged = ~np.isfinite(Z).all(axis=1)
+    diverged = ~np.isfinite(Z).all(axis=0)
     if diverged.any():
         raise NumericalError(f"state diverged at t={int(np.argmax(diverged)) * dt:.4f} s "
                              f"(controller={controller.label})")
-    return SimulationTrace(t=dt * np.arange(n + 1), z=Z, u=U, sigma=S,
+    return SimulationTrace(t=dt * np.arange(n + 1), z=Z.T, u=U, sigma=S,
                            xg=xg_half[::2], label=controller.label, relay=controller.relay)
 
 
@@ -460,7 +484,9 @@ def summarize(trace: SimulationTrace, window: tuple[float, float] | None = None)
     A relay run adds "reaching" over the window's samples: fraction_in_layer
     (share with |sigma| <= epsilon), n_outside (count with |sigma| > epsilon),
     decay_violations (those outside, the last sample excepted, whose
-    sigma*dsigma >= 0 to the next) and max_abs_sigma."""
+    sigma*dsigma >= 0 to the next) and max_abs_sigma. A figure that is not a
+    finite float (a run whose squares overflow) raises ``NumericalError``
+    naming it."""
     t = trace.t
     a, b = finite_numbers(("window lower bound", "window upper bound"),
                           (t[0], t[-1]) if window is None else window)   # None: the whole run
@@ -470,18 +496,28 @@ def summarize(trace: SimulationTrace, window: tuple[float, float] | None = None)
     if not np.any(mask):
         raise ConfigError(f"window {window} contains no samples")
     out = {"window": [a, b], "n_samples": int(np.count_nonzero(mask))}
-    for name, channel in zip(("z1", "z2", "z3", "z4", "u"), (*trace.z.T, trace.u)):
-        x = channel[mask]
-        out[name] = {"rms": float(np.sqrt(np.mean(x ** 2))),
-                     "peak": float(np.max(np.abs(x)))}
-    if trace.relay is not None:
-        sigma = trace.sigma[mask]
-        inside = np.abs(sigma) <= trace.relay[1]
-        decay = (sigma[:-1] * np.diff(sigma) >= 0) & ~inside[:-1]
-        out["reaching"] = {"fraction_in_layer": float(np.mean(inside)),
-                           "n_outside": int(np.count_nonzero(~inside)),
-                           "decay_violations": int(np.count_nonzero(decay)),
-                           "max_abs_sigma": float(np.max(np.abs(sigma)))}
+    # a figure past the float range is refused below; an overflowing product
+    # keeps its sign, so the decay count stays exact
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, channel in zip(("z1", "z2", "z3", "z4", "u"), (*trace.z.T, trace.u)):
+            x = channel[mask]
+            out[name] = {"rms": float(np.sqrt(np.mean(x ** 2))),
+                         "peak": float(np.max(np.abs(x)))}
+        if trace.relay is not None:
+            sigma = trace.sigma[mask]
+            inside = np.abs(sigma) <= trace.relay[1]
+            decay = (sigma[:-1] * np.diff(sigma) >= 0) & ~inside[:-1]
+            out["reaching"] = {"fraction_in_layer": float(np.mean(inside)),
+                               "n_outside": int(np.count_nonzero(~inside)),
+                               "decay_violations": int(np.count_nonzero(decay)),
+                               "max_abs_sigma": float(np.max(np.abs(sigma)))}
+    for name, figures in out.items():
+        if not isinstance(figures, dict):   # window, n_samples
+            continue
+        for stat, value in figures.items():
+            if not math.isfinite(value):
+                raise NumericalError(f"{name} {stat} is not a finite float over the window "
+                                     f"(controller={trace.label})")
     return out
 
 

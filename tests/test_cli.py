@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -693,6 +694,28 @@ def test_model_overflow_writes_one_stderr_line(tmp_path):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert run.returncode == 4
     assert run.stderr == "numerical failure: controllability matrix overflows\n"
+
+
+@pytest.mark.parametrize("pga", ["1e300", "1e308"])
+@pytest.mark.parametrize("command", [
+    ["simulate", "--controller", "lqr", "--maxima", "quanser_lqr_maxima.json"],
+    ["simulate", "--controller", "smc", "--tuning", "quanser_tuning.json"],
+    ["compare", "--tuning", "quanser_tuning.json", "--maxima", "quanser_lqr_maxima.json"],
+], ids=["simulate-lqr", "simulate-smc", "compare"])
+def test_overflowing_run_exits_4_without_output(tmp_path, capsys, command, pga):
+    # a run whose squares overflow writes no Infinity, one whose state
+    # overflows is refused by the state check, and numpy's warnings do not
+    # reach stderr before the error line
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([*command, "--config", "quanser.json", "--quake", "synthetic_quake.csv",
+                   "--pga", pga, "--t-end", "2", "--out", str(out)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert {"1e300": "z1 rms is not a finite float", "1e308": "state diverged"}[pga] in err
+    assert not out.exists()
 
 
 def test_every_csv_has_lf_line_endings(tmp_path):

@@ -573,6 +573,33 @@ def test_simulate_steps_by_the_rk4_map(request, building):
     assert np.max(np.abs(steady.z[1] / scale - x_sum)) <= 1e-14 * np.max(np.abs(x_sum))
 
 
+@pytest.mark.parametrize("building", ["five_story", "quanser"])
+@pytest.mark.parametrize("z3, one_force", [(0.05, True), (1e-4, False)],
+                         ids=["z3-keeps-its-sign", "z3-flips"])
+def test_one_step_is_the_rk4_map_with_the_stage_signs(request, building, z3, one_force):
+    # one step with friction and a constant ground acceleration is N v, its
+    # stage forces taken from the sign of each stage's z3 row
+    setup, _, plant = request.getfixturevalue(building)
+    tuned = request.getfixturevalue({"five_story": "tune_five_jz2",
+                                     "quanser": "tune_quanser_jz2"}[building])
+    mu, dt, ground = setup.atmd.mu_d, 1e-3, 0.5
+    assert mu > 0.0
+    z0 = np.array([2e-4, -1e-4, z3, 3e-4])
+    run = st.simulate(plant, st.SmcControl(tuned.result.design),
+                      st.Accelerogram(dt=dt, samples=np.full(2, ground)), dt, mu_d=mu, z0=z0)
+    N, W = st.sim.rk4_map(plant.A, plant.B, plant.D, dt)
+    v = np.concatenate([z0, np.zeros(4), np.full(3, ground)])
+    u = run.u[0]
+    v[4] = u - mu * np.sign(z3)
+    for s, row in enumerate(W):
+        c = row @ v
+        assert abs(c) > 1e-6   # far from a sign change, so its rounding cannot flip it
+        v[5 + s] = u - mu * np.sign(c)
+    assert (len(set(v[4:8])) == 1) == one_force
+    nv = N @ v
+    assert np.max(np.abs(run.z[1] - nv)) <= 1e-14 * np.max(np.abs(nv))
+
+
 def test_block_boundaries_do_not_show(five_story, tune_five_jz2, quake):
     # a run that ends inside an excitation block is the start of a longer run
     setup, _, plant = five_story
