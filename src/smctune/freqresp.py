@@ -54,16 +54,15 @@ def zero_rows(eta: np.ndarray):
 class TransferBatch:
     """G1, G2, G3, Gu for a stack of designs, row i for design i.
 
-    Channel c, in the order 1, 2, 3, u, is gains[c] * nums[c](s) / den(s)
-    with coefficients in descending powers of s; the four responses share
-    the denominator ``den`` (the sliding characteristic polynomial), whose
-    zeros are ``roots``.
+    Channel c (1, 2, 3, u) is gains[:, c] * nums[:, c](s) / den(s) in descending
+    powers of s; each numerator is written, with leading zeros, to the degree
+    of the shared ``den`` (the sliding characteristic polynomial, zeros ``roots``).
     """
 
     den: np.ndarray                      # (m, 4)
     roots: np.ndarray                    # (m, 3) complex: lambda1, lambda2, lambda3
-    nums: tuple[np.ndarray, ...]         # (m, 2), (m, 2), (m, 3), (m, 4)
-    gains: tuple[np.ndarray, ...]        # four (m,) arrays
+    nums: np.ndarray                     # (m, 4, 4): row, channel, descending power
+    gains: np.ndarray                    # (m, 4): row, channel
 
 
 def transfer_batch(designs: DesignBatch) -> TransferBatch:
@@ -75,7 +74,8 @@ def transfer_batch(designs: DesignBatch) -> TransferBatch:
     zeros psi1/psi2; the force response nu1 (sI - A1)^{-1} B1 + alpha1 is
     expanded through the adjugate of (sI - A1) (Faddeev-LeVerrier):
     adj(sI - A1) = I s^2 + M2 s + M3 with M2 = A1 + c2 I and M3 = A1 M2 + c1 I
-    for den = [1, c2, c1, c0]. Rows whose zeros are undefined must be
+    for den = [1, c2, c1, c0]. The four land on one channel axis, G1 to G3
+    padded to the cubic's degree. Rows whose zeros are undefined must be
     screened out first (``zero_rows``).
     """
     eta, a2 = designs.eta, designs.alpha2
@@ -88,13 +88,12 @@ def transfer_batch(designs: DesignBatch) -> TransferBatch:
     A1, B1, nu1 = designs.A1, designs.B1, designs.nu1
     m2_b1 = rowdot(A1, B1[:, None, :]) + den[:, 1:2] * B1
     m3_b1 = rowdot(A1, m2_b1[:, None, :]) + den[:, 2:3] * B1
-    num_u = np.stack([zeros, rowdot(nu1, B1), rowdot(nu1, m2_b1), rowdot(nu1, m3_b1)],
-                     axis=-1)
-    nums = (np.stack([ones, -psi1], axis=-1),
-            np.stack([ones, -psi2], axis=-1),
-            np.stack([ones, -psi1, zeros], axis=-1),
-            designs.alpha1[:, None] * den + num_u)
-    gains = (a2, -a2 * eta[:, 2] / eta[:, 3], a2, ones)
+    num_u = np.stack([zeros, rowdot(nu1, B1), rowdot(nu1, m2_b1), rowdot(nu1, m3_b1)], axis=-1)
+    nums = np.stack([np.stack([zeros, zeros, ones, -psi1], axis=-1),
+                     np.stack([zeros, zeros, ones, -psi2], axis=-1),
+                     np.stack([zeros, ones, -psi1, zeros], axis=-1),
+                     designs.alpha1[:, None] * den + num_u], axis=1)
+    gains = np.stack([a2, -a2 * eta[:, 2] / eta[:, 3], a2, ones], axis=-1)
     return TransferBatch(den=den, roots=roots, nums=nums, gains=gains)
 
 
@@ -122,49 +121,54 @@ def frequency_grid(band=DEFAULT_BAND, n_samples: int = DEFAULT_SAMPLES) -> np.nd
 
 
 def _horner(ascending: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_k ascending[:, k] x^k for every row; (m, 1) for a constant."""
-    acc = ascending[:, -1:]
-    for k in range(ascending.shape[1] - 2, -1, -1):
-        acc = acc * x + ascending[:, k:k + 1]
+    """sum_k ascending[..., k, None] x^k; starting from 0 is exact for finite x."""
+    acc = 0.0
+    for k in range(ascending.shape[-1] - 1, -1, -1):
+        acc = acc * x + ascending[..., k, None]
     return acc
 
 
 def _squared_magnitude(coeffs: np.ndarray, x: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """|p(j omega)|^2 for each row of descending coefficients, in real arithmetic.
+    """|p(j omega)|^2 for descending coefficients on the last axis, in real arithmetic.
 
     With x = -omega^2, p(j omega) = E(x) + j omega O(x), where E and O collect
     the even and the odd powers of p, so |p|^2 = E^2 + (omega O)^2.
     """
-    ascending = coeffs[:, ::-1]
-    even = _horner(ascending[:, 0::2], x)
-    if ascending.shape[1] == 1:
-        return even * even * np.ones_like(x)
-    odd = omega * _horner(ascending[:, 1::2], x)
+    ascending = coeffs[..., ::-1]
+    even = _horner(ascending[..., 0::2], x)
+    odd = omega * _horner(ascending[..., 1::2], x)
     return even * even + odd * odd
 
 
-def _band_squares(batch: TransferBatch, delta: float, omega: np.ndarray) -> list[np.ndarray]:
-    """|delta H_c(j omega)|^2 of every channel c, (m, n) each, on one grid (n,)
-    or one per row (m, n). |den|^2 is evaluated once for all channels. Every
-    step is elementwise, so a row's values do not depend on the other rows.
+def _band_squares(batch: TransferBatch, delta: float, omega: np.ndarray) -> np.ndarray:
+    """|delta H_c(j omega)|^2 (m, 4, n) of every channel c on one grid (n,) or
+    one per row (m, 1, n). Every step is elementwise, so a row's values do not
+    depend on the other rows. NumericalError if one is not finite (|den|^2
+    overflows on a wide enough band).
     """
-    x = -(omega * omega)
-    den_sq = _squared_magnitude(batch.den, x, omega)
-    return [np.square(delta * gain)[:, None] * _squared_magnitude(num, x, omega) / den_sq
-            for num, gain in zip(batch.nums, batch.gains)]
+    with np.errstate(all="ignore"):
+        x = -(omega * omega)
+        den_sq = _squared_magnitude(batch.den[:, None], x, omega)
+        squares = (np.square(delta * batch.gains)[..., None]
+                   * _squared_magnitude(batch.nums, x, omega) / den_sq)
+    if not np.isfinite(squares).all():
+        band = (float(omega.min()), float(omega.max()))
+        raise NumericalError(f"|delta H(j omega)|^2 is not a finite float on the band {band}")
+    return squares
 
 
 def band_table(batch: TransferBatch, delta: float, band=DEFAULT_BAND) -> np.ndarray:
-    """kappa (m, 4): sqrt(band mean of |delta H(j omega)|^2) of channels 1, 2, 3, u.
+    """kappa (m, 4): sqrt(band mean of |delta H(j omega)|^2) of each channel.
 
     |H|^2 = g^2 N(s) N(-s) / (D(s) D(-s)) at s = j omega is, over the roots
     l_i of D, c_inf + sum_i a_i [1/(s - l_i) - 1/(s + l_i)] with
-    a_i = g^2 N(l_i) N(-l_i) / (D'(l_i) D(-l_i)) and c_inf = (g lead N)^2 for
-    the cubic force numerator (0 otherwise). The roots are closed under
+    a_i = g^2 N(l_i) N(-l_i) / (D'(l_i) D(-l_i)) and c_inf = (g lead N)^2,
+    lead N being N's coefficient of D's degree. The roots are closed under
     conjugation, so the band integral is exactly c_inf (b - a)
     + 2 Im sum_i a_i [log(j b - l_i) - log(j a - l_i)], each log argument off
     the branch cut (real part -Re l_i > 0). Elementwise, summed in a fixed
     order: a row's kappa does not depend on the rows evaluated with it.
+    Any monic D with simple roots, on any number of channels, is exact.
     """
     delta, (lo, hi) = positive_number("delta", delta), _band_edges(band)
     roots, index = batch.roots, np.arange(batch.roots.shape[1])
@@ -173,14 +177,9 @@ def band_table(batch: TransferBatch, delta: float, band=DEFAULT_BAND) -> np.ndar
         other = roots[:, j:j + 1]
         product = product * np.where(index == j, 1.0, roots - other) * (-roots - other)
     weight = (np.log(1j * hi - roots) - np.log(1j * lo - roots)) / product
-    kappa = np.empty((len(roots), 4))
-    for c, (num, gain) in enumerate(zip(batch.nums, batch.gains)):
-        ascending = num[:, ::-1]
-        total = (_horner(ascending, roots) * _horner(ascending, -roots) * weight).sum(axis=-1)
-        lead = num[:, 0] if num.shape[1] == batch.den.shape[1] else 0.0
-        mean = lead * lead + 2.0 * total.imag / (hi - lo)
-        kappa[:, c] = np.sqrt(np.square(delta * gain) * mean)
-    return kappa
+    ascending, roots, lead = batch.nums[..., ::-1], roots[:, None], batch.nums[..., 0]
+    total = (_horner(ascending, roots) * _horner(ascending, -roots) * weight[:, None]).sum(axis=-1)
+    return np.sqrt(np.square(delta * batch.gains) * (lead * lead + 2.0 * total.imag / (hi - lo)))
 
 
 def _magnitude_polynomial(p: np.ndarray) -> np.ndarray:
@@ -200,14 +199,14 @@ def band_peak(batch: TransferBatch, delta: float, band=DEFAULT_BAND) -> np.ndarr
     """
     delta, (lo, hi) = positive_number("delta", delta), _band_edges(band)
     # room for the two edges and every root; unused slots repeat the lower edge
-    omega = np.full((len(batch.den), batch.nums[3].shape[1] + batch.den.shape[1]), lo)
-    omega[:, 1] = hi
-    for i, (num, den) in enumerate(zip(batch.nums[3], batch.den)):
+    omega = np.full((len(batch.den), 1, batch.nums.shape[-1] + batch.den.shape[-1]), lo)
+    omega[:, 0, 1] = hi
+    for i, (num, den) in enumerate(zip(batch.nums[:, 3], batch.den)):
         N, D = _magnitude_polynomial(num), _magnitude_polynomial(den)
         x = np.roots(np.polysub(np.polymul(np.polyder(N), D), np.polymul(N, np.polyder(D)))).real
         x = x[(lo * lo <= x) & (x <= hi * hi)]
-        omega[i, 2:2 + len(x)] = np.sqrt(x)     # in [lo, hi], as sqrt(lo * lo) == lo
-    return np.sqrt(_band_squares(batch, delta, omega)[3].max(axis=1))
+        omega[i, 0, 2:2 + len(x)] = np.sqrt(x)  # in [lo, hi], as sqrt(lo * lo) == lo
+    return np.sqrt(_band_squares(batch, delta, omega)[:, 3].max(axis=-1))
 
 
 def dump_frequency_response(design: SlidingDesign, delta: float, path,
@@ -225,5 +224,5 @@ def dump_frequency_response(design: SlidingDesign, delta: float, path,
         raise NumericalError(
             "sliding vector has a vanishing third or fourth component; "
             "transfer-function zeros are undefined")
-    squares = _band_squares(transfer_batch(designs), delta, omega)
-    write_table(path, "omega_rad_s,H1,H2,H3,Hu", [omega] + [np.sqrt(sq[0]) for sq in squares])
+    (squares,) = _band_squares(transfer_batch(designs), delta, omega)
+    write_table(path, "omega_rad_s,H1,H2,H3,Hu", [omega, np.sqrt(squares).T])

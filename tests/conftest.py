@@ -174,7 +174,7 @@ def rational_response(batch, channel: str, s) -> np.ndarray:
     ``band_table``.
     """
     c = "123u".index(channel)
-    return batch.gains[c][0] * np.polyval(batch.nums[c][0], s) / np.polyval(batch.den[0], s)
+    return batch.gains[0, c] * np.polyval(batch.nums[0, c], s) / np.polyval(batch.den[0], s)
 
 
 def quad_kappa(design: st.SlidingDesign, channel: str, delta: float,

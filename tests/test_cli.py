@@ -696,6 +696,24 @@ def test_model_overflow_writes_one_stderr_line(tmp_path):
     assert run.stderr == "numerical failure: controllability matrix overflows\n"
 
 
+def test_tune_on_a_band_too_wide_exits_4_with_one_line(tmp_path):
+    # |den(j omega)|^2 of the cubic overflows near omega = 1e52: the force
+    # peak is refused as a numerical failure that names the band, and
+    # numpy's warnings do not reach stderr before the error line
+    raw = json.loads(fixture_path("quanser_tuning.json").read_text())
+    raw["band"] = [1.0, 1e52]
+    tuning = tmp_path / "tuning.json"
+    tuning.write_text(json.dumps(raw))
+    src = Path(smctune.__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "-m", "smctune.cli", "tune", "--config", "quanser.json",
+         "--tuning", str(tuning), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.returncode == 4
+    assert run.stderr.startswith("numerical failure: ") and run.stderr.count("\n") == 1
+    assert "(1.0, 1e+52)" in run.stderr and "Warning" not in run.stderr
+
+
 @pytest.mark.parametrize("pga", ["1e300", "1e308"])
 @pytest.mark.parametrize("command", [
     ["simulate", "--controller", "lqr", "--maxima", "quanser_lqr_maxima.json"],

@@ -18,12 +18,16 @@ def table1_design(five_story):
     return st.design_sliding_controller(plant, zeta=0.5, omega_n=0.5 * modal.omega0)
 
 
-def _constant_batch(value: float) -> TransferBatch:
-    """A stack of one whose four channels are the constant ``value``: a
+#: the constant responses of channels 1, 2, 3, u in ``_constant_batch``,
+#: distinct so that a transposed or shifted channel axis shows
+_CONSTANTS = np.array([3.5, -2.0, 1.25, -12.4])
+
+
+def _constant_batch() -> TransferBatch:
+    """A stack of one whose channels are the constants ``_CONSTANTS``: a
     denominator of degree zero, so no roots."""
-    one = np.ones((1, 1))
-    return TransferBatch(den=one, roots=np.zeros((1, 0), dtype=complex),
-                         nums=(value * one,) * 4, gains=(np.ones(1),) * 4)
+    return TransferBatch(den=np.ones((1, 1)), roots=np.zeros((1, 0), dtype=complex),
+                         nums=_CONSTANTS.reshape(1, 4, 1), gains=np.ones((1, 4)))
 
 
 def test_zeros_five_story(table1_design):
@@ -34,8 +38,9 @@ def test_zeros_five_story(table1_design):
 
 def test_g3_numerator_is_s_times_g1(table1_design):
     batch = transfer_of(table1_design)
-    assert np.allclose(batch.nums[2][0], np.polymul(batch.nums[0][0], [1.0, 0.0]))
-    assert batch.gains[2][0] == batch.gains[0][0]
+    # s (s - psi1) is s - psi1 shifted up one power
+    assert np.array_equal(batch.nums[0, 2], np.append(batch.nums[0, 0, 1:], 0.0))
+    assert batch.gains[0, 2] == batch.gains[0, 0]
     s = 1j * 7.3
     assert rational_response(batch, "3", s) == pytest.approx(
         s * rational_response(batch, "1", s), rel=1e-12)
@@ -113,9 +118,13 @@ def test_dc_gains(table1_design):
 
 
 def test_band_rms_constant_response():
+    # each figure comes back in channel order 1, 2, 3, u
     for band in (st.DEFAULT_BAND, (0.5, 0.75), (1.0, 1e4)):
-        (kappa,) = band_table(_constant_batch(3.5), 0.5, band)
-        assert kappa == pytest.approx([0.5 * 3.5] * 4, rel=1e-12)
+        (kappa,) = band_table(_constant_batch(), 0.5, band)
+        assert kappa == pytest.approx(0.5 * np.abs(_CONSTANTS), rel=1e-12)
+        (squares,) = st.freqresp._band_squares(_constant_batch(), 0.5, np.linspace(*band, 3))
+        assert squares == pytest.approx(np.square(0.5 * _CONSTANTS)[:, None] * np.ones(3),
+                                        rel=1e-12)
 
 
 def test_band_rms_five_story_kappas(table1_design, five_story):
@@ -174,7 +183,7 @@ def test_band_peak_dominates_grid_peak(quanser, tune_quanser_jz2):
     delta = plant.bounds.delta
     batch = st.freqresp.transfer_batch(tune_quanser_jz2.result.designs)
     chi = band_peak(batch, delta)
-    squares = st.freqresp._band_squares(batch, delta, st.frequency_grid())[3]
+    squares = st.freqresp._band_squares(batch, delta, st.frequency_grid())[:, 3]
     grid_peak = np.sqrt(squares.max(axis=1))
     at_edge = chi == np.sqrt(np.maximum(squares[:, 0], squares[:, -1]))
     assert np.array_equal(chi[at_edge], grid_peak[at_edge])
@@ -203,7 +212,7 @@ def test_band_rms_delta_linearity(table1_design):
 
 
 def test_band_peak_flat_feedthrough():
-    (chi,) = band_peak(_constant_batch(-12.4), 0.5)
+    (chi,) = band_peak(_constant_batch(), 0.5)
     assert chi == pytest.approx(0.5 * 12.4, rel=1e-12)
 
 
@@ -250,7 +259,7 @@ def test_chi_dominates_kappa_u_on_shared_grid(table1_design, five_story):
     (kappa,), (chi,) = band_table(batch, delta), band_peak(batch, delta)
     assert chi >= kappa[3]
     omega = st.frequency_grid()
-    (squares_u,) = st.freqresp._band_squares(batch, delta, omega)[3]
+    (squares_u,) = st.freqresp._band_squares(batch, delta, omega)[:, 3]
     assert np.argmax(squares_u) == 0
     assert chi == np.sqrt(squares_u.max())
     trapezoid = np.sqrt(np.trapezoid(squares_u, omega) / (omega[-1] - omega[0]))
@@ -270,7 +279,7 @@ def test_degenerate_eta_reports_infeasible(tmp_path, table1_design):
 def test_band_validation(tmp_path, table1_design):
     # every public entry checks its own band, grid size and delta: a NaN or
     # inf delta would give a NaN or inf kappa and chi, an inf edge a NaN
-    batch = _constant_batch(1.0)
+    batch = _constant_batch()
     deltas = (0.0, float("nan"), float("inf"), "1.0")
     bands = ((10.0, 1.0), (1.0, float("inf")), (float("-inf"), 1.0), (float("nan"), 1.0),
              (1.0,), (1.0, 2.0, 3.0), 5.0, ("1", "2"))

@@ -357,7 +357,7 @@ def test_negative_band_edge_rejected_and_zero_accepted(quanser):
     # chi is the exact peak of |H_u| over [0, hi], so a fine grid comes just under it
     winner = st.freqresp.transfer_batch(result.designs.take([result.best_index]))
     grid = st.frequency_grid((0.0, hi), 20001)
-    peak = np.sqrt(st.freqresp._band_squares(winner, plant.bounds.delta, grid)[3].max())
+    peak = np.sqrt(st.freqresp._band_squares(winner, plant.bounds.delta, grid)[:, 3].max())
     assert peak <= result.chi * (1 + 1e-12) and result.chi <= peak * (1 + 1e-6)
 
 

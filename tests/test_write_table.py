@@ -107,6 +107,22 @@ def test_every_layout(tmp_path):
     assert _write(tmp_path / "t.csv", table) == _oracle("h", table)
 
 
+def test_head_has_at_most_15_trailing_zeros():
+    # the trailing-zero count of _csv_rows runs passes of 8, 4, 2 and 1
+    # digits, 15 in all, so every head must stay under 10^16. vp grows with
+    # the mantissa, so its largest value at each exponent of the fast range
+    # is at mantissa 2^53 - 1; the head is vp // 100 wherever the gap (the
+    # floor or the ceiling of 4 5^i / 2^q) can fall under 100, else vp // 1000
+    mv = 4 * (2 ** 53 - 1)
+    heads = {}
+    for e in np.flatnonzero(output._POW5):
+        pow5, q = int(output._POW5[e]), int(output._SHIFT[e])
+        vp = (mv + 2) * pow5 >> q
+        heads[int(e)] = vp // (100 if (4 * pow5) >> q < 100 else 1000)
+    assert len(heads) == 82
+    assert max(heads.values()) == heads[1065] == 8_796_093_022_207_999 < 10 ** 16
+
+
 def test_most_trace_cells_skip_repr(tmp_path, monkeypatch, five_story_runs):
     # the five-story jz2 trace: a kernel that sent every cell to repr would
     # still write the same bytes, so count the cells that reach repr
