@@ -77,14 +77,14 @@ def finite_numbers(names, value) -> tuple[float, ...]:
 
 
 def read_text(path) -> str:
-    """The UTF-8 text of the file at ``path``, or ConfigError.
+    """The UTF-8 text of the file at ``path``, without a leading byte-order mark, or ConfigError.
 
     A file that cannot be opened (missing, a directory, no permission) or
     holds bytes that are not UTF-8 fails like any other bad input.
     """
     path = Path(path)
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

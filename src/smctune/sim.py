@@ -19,6 +19,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from itertools import chain
 from numbers import Integral
 from pathlib import Path
 
@@ -106,7 +107,7 @@ def _parse_quake_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     and lines starting with '#' are skipped; the first other line may
     instead hold column names, none of which reads as a number. Only trailing
     cells of a row may be empty."""
-    rows = []
+    linenos, widths, values = [], set(), []
     dt_header = None
     names_allowed = True
     for lineno, raw in enumerate(csv.reader(io.StringIO(read_text(path), newline="")), start=1):
@@ -118,30 +119,30 @@ def _parse_quake_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
         if "" in cells:
             raise ConfigError(f"{path}:{lineno}: empty cell in row {cells!r}")
         names_line, names_allowed = names_allowed, False
-        if dt_header is None and not rows and cells[0].lower() == "dt":
+        if dt_header is None and not linenos and cells[0].lower() == "dt":
             if len(cells) != 2 or not _is_number(cells[1]):
                 raise ConfigError(f"{path}:{lineno}: malformed dt header")
             dt_header = positive_number(f"{path}:{lineno}: dt header", float(cells[1]))
             continue
         try:
-            values = [float(c) for c in cells]
+            values.extend([float(c) for c in cells])
         except ValueError as exc:
             if names_line and not any(map(_is_number, cells)):
                 continue
             raise ConfigError(f"{path}:{lineno}: non-numeric row {cells!r}") from exc
-        rows.append((lineno, values))
-    if not rows:
+        linenos.append(lineno)
+        widths.add(len(cells))
+    if not linenos:
         raise ConfigError(f"{path}: no data rows found")
 
-    widths = {len(v) for _, v in rows}
     if dt_header is not None:
         if widths != {1}:
             raise ConfigError(f"{path}: dt-header format expects exactly one value per row")
-        acc = np.array([v[0] for _, v in rows])
-        return np.arange(len(acc)) * dt_header, acc
+        return np.arange(len(values)) * dt_header, np.array(values)
     if widths == {2}:
-        t = np.array([finite_number(f"{path}:{lineno}: time", v[0]) for lineno, v in rows])
-        acc = np.array([v[1] for _, v in rows])
+        t, acc = np.array(values).reshape(-1, 2).T
+        for i in np.flatnonzero(~np.isfinite(t))[:1]:   # name the first non-finite time
+            finite_number(f"{path}:{linenos[i]}: time", t[i])
         if np.any(np.diff(t) <= 0):
             raise ConfigError(f"{path}: time column must be strictly increasing")
         return t, acc
@@ -392,7 +393,7 @@ def simulate(plant: PlantStateSpace, controller: FeedbackLaw, quake: Accelerogra
         raise ConfigError(f"t_end={t_end} s at dt={dt} s runs to {n * dt} s, past the record's "
                           f"end at {quake.duration} s; the longest t_end that fits is {fit * dt} s")
 
-    z = (0.0,) * 4 if z0 is None else finite_numbers(("z0 entry",) * 4, z0)
+    y0, y1, y2, y3 = (0.0,) * 4 if z0 is None else finite_numbers(("z0 entry",) * 4, z0)
     relay = controller.relay is not None
     if relay:
         _check_boundary_layer(plant, controller, dt)
@@ -420,8 +421,13 @@ def simulate(plant: PlantStateSpace, controller: FeedbackLaw, quake: Accelerogra
     g0, g1, g2, g3 = controller.gain
     M0, eps = controller.relay if relay else (0.0, 1.0)  # read only with a relay
 
-    y0, y1, y2, y3 = z
-    start = stop = 0
+    def block(start):
+        """The seven excitation terms of each of the STEP_BLOCK steps from ``start``."""
+        x = xg_half[2 * start:2 * min(start + STEP_BLOCK, n) + 1]
+        with np.errstate(over="ignore", invalid="ignore"):  # the state check reports it
+            return zip(*((X[:, 0] * x[0:-1:2] + X[:, 1] * x[1::2]) + X[:, 2] * x[2::2]).tolist())
+    terms = chain.from_iterable(map(block, range(0, n, STEP_BLOCK)))
+
     for i in range(n + 1):
         z0v[i], z1v[i], z2v[i], z3v[i] = y0, y1, y2, y3
         s = (g0 * y0 + g2 * y2) + (g1 * y1 + g3 * y3)
@@ -433,13 +439,7 @@ def simulate(plant: PlantStateSpace, controller: FeedbackLaw, quake: Accelerogra
         uv[i] = u
         if i == n:
             break
-        if i == stop:  # excitation terms of the next STEP_BLOCK steps
-            start, stop = i, min(i + STEP_BLOCK, n)
-            x = xg_half[2 * start:2 * stop + 1]
-            with np.errstate(over="ignore", invalid="ignore"):  # the state check reports it
-                rows = ((X[:, 0] * x[0:-1:2] + X[:, 1] * x[1::2])
-                        + X[:, 2] * x[2::2]).T.tolist()
-        h2, h3, h4, r0, r1, r2, r3 = rows[i - start]
+        h2, h3, h4, r0, r1, r2, r3 = next(terms)
         # friction force of each stage: u - mu_d sign(stage z3), sign(0) = 0;
         # while the stages agree, their forces are one number f1
         f1 = u - mu_d if y2 > 0.0 else (u + mu_d if y2 < 0.0 else u)

@@ -47,6 +47,17 @@ def test_model_malformed_json_exits_2_without_output(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("building", ["quanser.json", "five_story.json"])
+def test_model_reads_a_building_file_with_a_byte_order_mark(tmp_path, building):
+    raw = fixture_path(building).read_bytes()
+    (tmp_path / "bom.json").write_bytes(b"\xef\xbb\xbf" + raw)
+    assert main(["model", "--config", building, "--out", str(tmp_path / "plain")]) == 0
+    assert main(["model", "--config", str(tmp_path / "bom.json"),
+                 "--out", str(tmp_path / "bom")]) == 0
+    for name in ("modal.json", "plant.json"):
+        assert (tmp_path / "bom" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
 def test_missing_config_exits_2(tmp_path):
     assert main(["model", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path)]) == 2
@@ -504,8 +515,8 @@ def test_simulate_non_finite_t_end_exits_2(tmp_path, capsys, t_end):
 
 
 @pytest.mark.parametrize("record, scaling, message", [
-    ("t,accel\n0.0,0.0\nnan,1.0\n0.04,-1.0\n", [], "time must be finite"),
-    ("t,accel\n0.0,0.0\ninf,1.0\n", [], "time must be finite"),
+    ("t,accel\n0.0,0.0\nnan,1.0\n0.04,-1.0\n", [], "quake.csv:3: time must be finite"),
+    ("t,accel\n0.0,0.0\ninf,1.0\n", [], "quake.csv:3: time must be finite"),
     ("dt,-0.02\n0.0\n1.0\n-1.0\n", ["--pga", "3.0"], "dt header must be positive"),
     ("dt,-0.02\n0.0\n1.0\n-1.0\n", [], "dt header must be positive"),
     ("dt,0\n0.0\n1.0\n-1.0\n", [], "dt header must be positive"),

@@ -1,4 +1,5 @@
 """Record loading, RK4 closed-loop simulation, summaries, reaching behaviour."""
+import gc
 import math
 import re
 from dataclasses import replace
@@ -29,6 +30,14 @@ def test_load_dt_header_record(tmp_path):
     rec = st.load_accelerogram(p)
     assert rec.dt == 0.001
     assert np.allclose(rec.samples[::10], [0.0, 0.5, 1.0, -1.0])
+
+
+@pytest.mark.parametrize("text", ["dt,0.01\n0.0\n0.5\n1.0\n-1.0\n",
+                                  "0.0,0.0\n0.02,1.0\n0.04,-2.0\n"], ids=["dt-header", "two-column"])
+def test_load_record_with_a_byte_order_mark(tmp_path, text):
+    plain = st.load_accelerogram(_write(tmp_path / "q.csv", text))
+    (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert st.load_accelerogram(tmp_path / "bom.csv").samples.tolist() == plain.samples.tolist()
 
 
 def test_load_rejects_malformed(tmp_path):
@@ -629,3 +638,36 @@ def test_unstable_boundary_layer_is_refused(request, building):
     st.simulate(plant, controller, record, 1.0, dt=0.99 * largest)
     with pytest.raises(ConfigError, match="largest stable dt"):
         st.simulate(plant, controller, record, 1.0, dt=1.01 * largest)
+
+
+def test_a_run_and_a_record_read_start_no_garbage_collection(tmp_path, quanser, tune_quanser_jz2):
+    # a run keeps no container per step and a record read none per row, so
+    # neither fills the cyclic collector's youngest generation
+    setup, _, plant = quanser
+    controller = st.SmcControl(tune_quanser_jz2.result.design)
+    record = st.synthetic_accelerogram(duration=40.0)
+    path = _write(tmp_path / "record.csv", f"dt,{record.dt!r}\n"   # 2001 lines
+                  + "".join(f"{float(v)!r}\n" for v in record.samples[:2000]))
+    quake = st.load_accelerogram(fixture_path("synthetic_quake.csv"), scale=3.0, scale_mode="pga")
+    calls = {"simulate": lambda: st.simulate(plant, controller, quake, 10.0,
+                                             mu_d=setup.atmd.mu_d, dt=1e-3),
+             "dt-header record": lambda: st.load_accelerogram(path),
+             "bundled record": lambda: st.load_accelerogram(fixture_path("synthetic_quake.csv"))}
+    started = []   # the name of the call during which each collection started
+
+    def hook(phase, info):
+        if phase == "start":
+            started.append(name)
+
+    threshold = gc.get_threshold()
+    gc.callbacks.append(hook)
+    try:
+        gc.set_threshold(700, *threshold[1:])
+        for name, call in calls.items():
+            gc.collect()
+            started.clear()
+            call()
+    finally:
+        gc.callbacks.remove(hook)
+        gc.set_threshold(*threshold)
+    assert started == []
